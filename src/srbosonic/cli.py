@@ -301,8 +301,8 @@ def _point_negativity(x0: float, theta: float, sigma: float) -> float:
     return log_negativity(choi_state(QuantumCommParams(x0=x0, theta=theta, sigma2=sigma * sigma)))
 
 
-def _point_private(scenario: PrivateScenario, sigma: float) -> float:
-    return private_rate(scenario, sigma * sigma)
+def _point_private(base: ClassicalScenario, theta: float, sigma: float) -> float:
+    return private_rate(PrivateScenario(base=base, theta=theta), sigma * sigma)
 
 
 def _point_interval_vary(kwargs: tuple, field: str, value: float) -> tuple:
@@ -340,11 +340,11 @@ def _classical_scenario(cfg: dict) -> ClassicalScenario:
     )
 
 
-def _run_sweep(cfg: dict):
-    scenario = _classical_scenario(cfg)
+def _theta_series(cfg: dict, point_fn, *args):
+    """One series per θ of point_fn(*args, theta, sigma) over the σ grid."""
     series = []
     for theta in cfg["theta"]:
-        values = _map_values(partial(_point_sweep, scenario, theta), cfg["grid"], cfg["parallel"])
+        values = _map_values(partial(point_fn, *args, theta), cfg["grid"], cfg["parallel"])
         series.append((f"theta={_fmt(theta)}", values))
     return "sigma", cfg["grid"], series
 
@@ -416,43 +416,7 @@ def _run_discriminate(cfg: dict):
         names = ("theta_minus", "theta_plus", "residual_minus", "residual_plus")
         row = (result.lo, result.hi, result.residual_lo, result.residual_hi)
         return None, None, [(name, [value]) for name, value in zip(names, row)]
-    series = []
-    for theta in cfg["theta"]:
-        values = _map_values(
-            partial(_point_discriminate, scenario, theta), cfg["grid"], cfg["parallel"]
-        )
-        series.append((f"theta={_fmt(theta)}", values))
-    return "sigma", cfg["grid"], series
-
-
-def _run_fidelity(cfg: dict):
-    series = []
-    for theta in cfg["theta"]:
-        values = _map_values(
-            partial(_point_fidelity, cfg["x0"], theta), cfg["grid"], cfg["parallel"]
-        )
-        series.append((f"theta={_fmt(theta)}", values))
-    return "sigma", cfg["grid"], series
-
-
-def _run_negativity(cfg: dict):
-    series = []
-    for theta in cfg["theta"]:
-        values = _map_values(
-            partial(_point_negativity, cfg["x0"], theta), cfg["grid"], cfg["parallel"]
-        )
-        series.append((f"theta={_fmt(theta)}", values))
-    return "sigma", cfg["grid"], series
-
-
-def _run_private(cfg: dict):
-    base = _classical_scenario(cfg)
-    series = []
-    for theta in cfg["theta"]:
-        scenario = PrivateScenario(base=base, theta=theta)
-        values = _map_values(partial(_point_private, scenario), cfg["grid"], cfg["parallel"])
-        series.append((f"theta={_fmt(theta)}", values))
-    return "sigma", cfg["grid"], series
+    return _theta_series(cfg, _point_discriminate, scenario)
 
 
 def _run_probe(cfg: dict):
@@ -479,13 +443,13 @@ def _run_mc_check(cfg: dict):
 
 
 _RUNNERS = {
-    "sweep": _run_sweep,
+    "sweep": lambda cfg: _theta_series(cfg, _point_sweep, _classical_scenario(cfg)),
     "interval": _run_interval,
     "rectangle": _run_rectangle,
     "discriminate": _run_discriminate,
-    "fidelity": _run_fidelity,
-    "negativity": _run_negativity,
-    "private": _run_private,
+    "fidelity": lambda cfg: _theta_series(cfg, _point_fidelity, cfg["x0"]),
+    "negativity": lambda cfg: _theta_series(cfg, _point_negativity, cfg["x0"]),
+    "private": lambda cfg: _theta_series(cfg, _point_private, _classical_scenario(cfg)),
     "probe-conjecture": _run_probe,
     "mc-check": _run_mc_check,
 }

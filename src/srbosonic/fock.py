@@ -4,13 +4,16 @@ Quadrature convention: q = (a + a†)/√2, p = (a − a†)/(i√2), so the vac
 variance is 1/2 in each quadrature.  Entropies are in bits.
 
 Displacement and squeeze unitaries are exponentials of the truncated
-generator.  The truncated generator is exactly anti-Hermitian, so the
-exponential is unitary on the retained block to machine precision; what
-truncation actually degrades is the fidelity of the represented
+generator G.  G is exactly anti-Hermitian, so iG is Hermitian and the
+exponential is computed from its eigendecomposition iG = V diag(λ) V† as
+exp(G) = V diag(e^{−iλ}) V†, which is unitary on the retained block to
+machine precision; the 1e-8 unitarity check still runs on every result.
+What truncation actually degrades is the fidelity of the represented
 operation.  That is guarded where it matters: ``gaussian_to_fock``
-refuses to return a state whose first or second moments miss the request
-by more than 1e-6, and callers grow the cutoff until it stops
-complaining (``converged_fock_density`` automates this).
+refuses to return a state whose trace deficit exceeds 1e-8 or whose
+first or second moments miss the request by more than 1e-6, and the
+cutoff is grown 25% at a time until the entropy moves by at most 1e-6
+per step (``converged_fock_density``), up to ``MAX_CUTOFF``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import CutoffError, DomainError
 
@@ -45,6 +47,7 @@ THERMAL_TAIL_TOL = 1e-12
 TRACE_DEFICIT_TOL = 1e-8
 MOMENT_TOL = 1e-6
 ENTROPY_CLIP = 1e-14
+ENTROPY_TOL = 1e-6
 CUTOFF_GROWTH = 1.25
 MAX_CUTOFF = 4096
 
@@ -162,14 +165,28 @@ def ladder(dim: int) -> tuple[FockOperator, FockOperator]:
     return FockOperator(dim, a), FockOperator(dim, adag)
 
 
-def _unitary_from_generator(gen: np.ndarray, dim: int, what: str) -> np.ndarray:
-    u = expm(gen)
+def _unitary_from_generator(gen: np.ndarray, what: str) -> np.ndarray:
+    # gen is anti-Hermitian, so 1j*gen is Hermitian with real spectrum lam
+    lam, vecs = np.linalg.eigh(1j * gen)
+    u = (vecs * np.exp(-1j * lam)) @ vecs.conj().T
+    dim = gen.shape[0]
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
     if defect > UNITARITY_TOL:
         raise CutoffError(
             f"{what} at cutoff {dim} lost unitarity: defect {defect:.3e} exceeds {UNITARITY_TOL:g}"
         )
     return u
+
+
+def _displacement(beta: complex, a: np.ndarray, adag: np.ndarray) -> np.ndarray:
+    """exp(β a† − β* a) on the block spanned by the ladder arrays."""
+    return _unitary_from_generator(beta * adag - np.conjugate(beta) * a, "displacement")
+
+
+def _squeeze(xi: complex, a: np.ndarray, adag: np.ndarray) -> np.ndarray:
+    """exp((ξ* a² − ξ a†²)/2) on the block spanned by the ladder arrays."""
+    gen = 0.5 * (np.conjugate(xi) * (a @ a) - xi * (adag @ adag))
+    return _unitary_from_generator(gen, "squeeze")
 
 
 def displacement_op(beta: complex, dim: int) -> FockOperator:
@@ -182,9 +199,7 @@ def displacement_op(beta: complex, dim: int) -> FockOperator:
     beta = complex(beta)
     if not (math.isfinite(beta.real) and math.isfinite(beta.imag)):
         raise DomainError(f"displacement amplitude must be finite, got {beta!r}")
-    a, adag = _ladder_arrays(dim)
-    gen = beta * adag - np.conjugate(beta) * a
-    return FockOperator(dim, _unitary_from_generator(gen, dim, "displacement"))
+    return FockOperator(dim, _displacement(beta, *_ladder_arrays(dim)))
 
 
 def squeeze_op(r: float, dim: int) -> FockOperator:
@@ -197,9 +212,7 @@ def squeeze_op(r: float, dim: int) -> FockOperator:
     r = float(r)
     if not math.isfinite(r):
         raise DomainError(f"squeezing parameter must be finite, got {r!r}")
-    a, adag = _ladder_arrays(dim)
-    gen = 0.5 * r * (a @ a - adag @ adag)
-    return FockOperator(dim, _unitary_from_generator(gen, dim, "squeeze"))
+    return FockOperator(dim, _squeeze(r, *_ladder_arrays(dim)))
 
 
 def thermal_state(nbar: float, dim: int) -> FockDensity:
@@ -283,13 +296,11 @@ def gaussian_to_fock(g: GaussianStateOneMode, dim: int) -> FockDensity:
         # the small-eigenvalue direction of cov is the squeezed axis
         phi = math.atan2(eigvecs[1, 0], eigvecs[0, 0])
         xi = s * complex(math.cos(2.0 * phi), math.sin(2.0 * phi))
-        gen = 0.5 * (np.conjugate(xi) * (a @ a) - xi * (adag @ adag))
-        u = _unitary_from_generator(gen, dim, "squeeze")
+        u = _squeeze(xi, a, adag)
         rho = u @ rho @ u.conj().T
     delta = complex(g.mean[0], g.mean[1]) / math.sqrt(2.0)
     if delta != 0:
-        gen = delta * adag - np.conjugate(delta) * a
-        u = _unitary_from_generator(gen, dim, "displacement")
+        u = _displacement(delta, a, adag)
         rho = u @ rho @ u.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     deficit = 1.0 - float(np.trace(rho).real)
@@ -305,29 +316,37 @@ def gaussian_to_fock(g: GaussianStateOneMode, dim: int) -> FockDensity:
     return FockDensity(dim, rho)
 
 
-def converged_fock_density(g: GaussianStateOneMode, *, entropy_tol: float = 1e-6,
-                           max_dim: int = MAX_CUTOFF) -> FockDensity:
+def _grow_cutoff(build, dim: int) -> tuple[FockDensity, float]:
+    """build(dim) at a cutoff grown 25% at a time until its entropy settles.
+
+    Settled means one further 25% step moved the entropy by at most
+    ENTROPY_TOL; the larger build and its entropy are returned.  Cutoffs
+    at which build raises CutoffError are skipped over and restart the
+    comparison.  No settled pair at or below MAX_CUTOFF is a CutoffError.
+    """
+    prev = None
+    while dim <= MAX_CUTOFF:
+        try:
+            rho = build(dim)
+        except CutoffError:
+            prev = None
+        else:
+            entropy = von_neumann_entropy(rho)
+            if prev is not None and abs(entropy - prev) <= ENTROPY_TOL:
+                return rho, entropy
+            prev = entropy
+        dim = int(math.ceil(dim * CUTOFF_GROWTH))
+    raise CutoffError(f"entropy did not settle to {ENTROPY_TOL:g} at any cutoff <= {MAX_CUTOFF}")
+
+
+def converged_fock_density(g: GaussianStateOneMode) -> FockDensity:
     """gaussian_to_fock at a cutoff grown 25% at a time until the entropy settles.
 
     Convergence means one further 25% step moves the entropy by at most
-    entropy_tol; the larger build is returned.  Cutoffs that fail the
-    internal moment or tail guards are skipped over.
+    1e-6; the larger build is returned.  Cutoffs that fail the internal
+    moment or tail guards are skipped over.
     """
-    dim = suggest_cutoff(g)
-    prev_entropy = None
-    while dim <= max_dim:
-        try:
-            rho = gaussian_to_fock(g, dim)
-        except CutoffError:
-            prev_entropy = None
-            dim = int(math.ceil(dim * CUTOFF_GROWTH))
-            continue
-        entropy = von_neumann_entropy(rho)
-        if prev_entropy is not None and abs(entropy - prev_entropy) <= entropy_tol:
-            return rho
-        prev_entropy = entropy
-        dim = int(math.ceil(dim * CUTOFF_GROWTH))
-    raise CutoffError(f"no converged cutoff at or below {max_dim}")
+    return _grow_cutoff(lambda dim: gaussian_to_fock(g, dim), suggest_cutoff(g))[0]
 
 
 def von_neumann_entropy(rho: FockDensity) -> float:

@@ -20,16 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffError, DomainError
+from .errors import DomainError
 from .fock import (
-    CUTOFF_GROWTH,
-    MAX_CUTOFF,
     FockDensity,
     GaussianStateOneMode,
+    _grow_cutoff,
     gaussian_entropy,
     gaussian_to_fock,
     suggest_cutoff,
-    von_neumann_entropy,
 )
 from .rootfind import golden_max
 from .schemes import SITE_SENDER, ClassicalScenario, classical_channel
@@ -45,7 +43,6 @@ __all__ = [
     "conjecture_probe",
 ]
 
-MIX_ENTROPY_TOL = 1e-6
 PROBE_GAIN_MARGIN = 1e-6
 PROBE_REFINE_XTOL = 1e-6
 
@@ -150,25 +147,14 @@ def _whitened(e: EveEnsemble) -> EveEnsemble:
 def _mixture_entropy(e: EveEnsemble) -> float:
     """Entropy of the binary Gaussian mixture, cutoff grown until stable."""
     e = _whitened(e)
-    dim = max(suggest_cutoff(e.state0), suggest_cutoff(e.state1))
-    prev = None
-    while dim <= MAX_CUTOFF:
-        try:
-            rho0 = gaussian_to_fock(e.state0, dim)
-            rho1 = gaussian_to_fock(e.state1, dim)
-        except CutoffError:
-            prev = None
-            dim = int(math.ceil(dim * CUTOFF_GROWTH))
-            continue
-        mix = FockDensity(
-            dim, e.prior0 * rho0.entries + (1.0 - e.prior0) * rho1.entries
-        )
-        entropy = von_neumann_entropy(mix)
-        if prev is not None and abs(entropy - prev) <= MIX_ENTROPY_TOL:
-            return entropy
-        prev = entropy
-        dim = int(math.ceil(dim * CUTOFF_GROWTH))
-    raise CutoffError(f"mixture entropy did not converge at cutoff <= {MAX_CUTOFF}")
+
+    def build(dim: int) -> FockDensity:
+        rho0 = gaussian_to_fock(e.state0, dim)
+        rho1 = gaussian_to_fock(e.state1, dim)
+        return FockDensity(dim, e.prior0 * rho0.entries + (1.0 - e.prior0) * rho1.entries)
+
+    start = max(suggest_cutoff(e.state0), suggest_cutoff(e.state1))
+    return _grow_cutoff(build, start)[1]
 
 
 def holevo_chi(e: EveEnsemble) -> float:

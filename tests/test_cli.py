@@ -9,9 +9,14 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import srbosonic
 from srbosonic.cli import format_csv, format_json, main
 from srbosonic.private_rate import PrivateScenario, private_rate
 from srbosonic.qubit import QuantumCommParams, average_fidelity, choi_state, log_negativity
@@ -407,6 +412,27 @@ class TestOutputPlumbing:
     def test_parallel_zero_rejected(self):
         code, _, _ = run_cli(SWEEP_ARGS + ["--parallel", "0"])
         assert code == 2
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is a test-only dependency; a fresh interpreter importing the
+        # CLI must not pull in any part of it
+        src = str(pathlib.Path(srbosonic.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        probe = (
+            "import sys, srbosonic.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestJsonSchema:

@@ -100,6 +100,30 @@ class TestDisplacement:
         d = displacement_op(beta, 100)
         assert abs(abs(d.entries[0, 0]) - math.exp(-abs(beta) ** 2 / 2)) <= 1e-8
 
+    @pytest.mark.parametrize("beta", [0.7, 1.2 - 0.5j, 2 + 1j])
+    def test_low_block_matches_cahill_glauber(self, beta):
+        # closed-form <m|D(beta)|n> (Cahill & Glauber, Phys. Rev. 177, 1969)
+        # pins phases and off-diagonal elements, not just |<0|D|0>|
+        def laguerre(n, k, x):
+            # associated Laguerre L_n^(k)(x) as its finite sum
+            return sum(
+                (-1) ** j * math.comb(n + k, n - j) * x**j / math.factorial(j)
+                for j in range(n + 1)
+            )
+
+        beta = complex(beta)
+        x = abs(beta) ** 2
+        d = displacement_op(beta, 80).entries
+        for m in range(8):
+            for n in range(8):
+                if m >= n:
+                    want = math.sqrt(math.factorial(n) / math.factorial(m))
+                    want *= beta ** (m - n) * laguerre(n, m - n, x)
+                else:
+                    want = math.sqrt(math.factorial(m) / math.factorial(n))
+                    want *= (-beta.conjugate()) ** (n - m) * laguerre(m, n - m, x)
+                assert abs(d[m, n] - want * math.exp(-x / 2)) <= 1e-10
+
     def test_group_inverse(self):
         beta = 0.8 + 0.3j
         prod = displacement_op(beta, 60).entries @ displacement_op(-beta, 60).entries
