@@ -34,19 +34,14 @@ from .schemes import (
     ClassicalScenario,
     DiscriminationScenario,
     EAScenario,
-    classical_total_variance,
+    _classical_spec,
     forbidden_interval_classical,
     forbidden_interval_discrimination,
     forbidden_rectangle,
     success_classical,
     success_discrimination,
 )
-from .threshold import (
-    BinaryThresholdSpec,
-    build_channel,
-    mc_success_probability,
-    success_probability,
-)
+from .threshold import mc_success_probability
 
 ENV_PARALLEL = "SRBOSONIC_PARALLEL"
 
@@ -315,18 +310,8 @@ def _point_interval_vary(kwargs: tuple, field: str, value: float) -> tuple:
 def _point_mc(scenario: ClassicalScenario, theta: float, n: int, job: tuple) -> tuple:
     sigma, seed = job
     sigma2 = sigma * sigma
-    m = math.sqrt(scenario.eta) * scenario.alpha_q
-    variance = classical_total_variance(scenario, sigma2)
-    spec = BinaryThresholdSpec(
-        mean0=-m,
-        mean1=+m,
-        var0=variance,
-        var1=variance,
-        theta=theta,
-        prior0=scenario.prior0,
-    )
-    analytic = success_probability(build_channel(spec), scenario.prior0)
-    estimate = mc_success_probability(spec, n, seed)
+    analytic = success_classical(scenario, theta, sigma2)
+    estimate = mc_success_probability(_classical_spec(scenario, theta, sigma2), n, seed)
     return analytic, estimate.estimate, estimate.std_error
 
 

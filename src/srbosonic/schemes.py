@@ -18,30 +18,50 @@ interval (or rectangle) of thresholds for which added noise can never help.
 Adding noise improves decoding exactly when the threshold lies outside that
 region.
 
-Solver notes.  The critical-variance condition for the symmetric schemes is
+Solver notes.  Every interval boundary is a zero of one stationary
+condition: the sign of d P_s / d sigma^2 at sigma^2 = 0+.  For signal
+levels a0 > a1 with priors p0, p1, noiseless variances v0, v1 and noise
+weights c_x (eta_x for sender-site noise, 1 at the receiver), that sign is
+the sign of
 
-    sigma*^2 = 4 m theta / ln R - K,   R = w (theta + m) / ((1 - w) (theta - m)),
+    g(theta) = ln(p0 c0 |theta - a0|) - (theta - a0)^2 / (2 v0) - 1.5 ln v0
+               - [the same terms for hypothesis 1],
 
-with m the signal level, K the noise-floor term, and w the prior.  Its zero
-in theta is found on the residual h(theta) = ln R - 4 m theta / K, solved in
-the variable u = ln(theta - m).  In u the function is pole-free, strictly
-decreasing, and asymptotically linear on both sides, so bisection after a
-geometric bracket expansion is unconditionally safe; sigma*^2 at the returned
-root follows from the exact identity sigma*^2 = -K^2 h / (K h + 4 m theta),
-which is what the residual fields report.  For strong signals the root can
-sit within one float ulp of the signal level itself (the interval boundary
-collapses onto m); the solver then returns the correctly rounded boundary m
-and the residual identity still applies.  Discrimination uses the same
-change of variable around each signal level and, where no closed form
-exists (nonzero squeezing, or sender-side noise whose variance scales
-differently under the two hypotheses), falls back to a sign test of the
-one-sided derivative at sigma^2 = 0+ bisected over theta.
+taken as is above a0, negated below a1, and -inf between the levels (the
+curve always falls there).  With equal variances (the symmetric schemes,
+and receiver-site discrimination at r = 0) g reduces, up to sign, to the
+closed-form residual h = ln R - 4 m theta / K of sigma*^2 = 4 m theta /
+ln R - K (R = w (theta + m) / ((1 - w) (theta - m)), m the signal level,
+K the noise-floor term, w the prior), or to ln R - B for discrimination.
+These are solved in the log offset u = ln|theta - level|, where they are
+pole-free, monotone and asymptotically linear, and sigma*^2 at the
+returned root follows from the exact identity sigma*^2 = -K^2 h / (K h +
+4 m theta) (-h / (B + h) for discrimination), which is what the residual
+fields report.  Squeezed or sender-site discrimination has no closed form:
+its interval bisects g itself over theta, and its critical variance is -1.0
+wherever g says the curve does not rise at 0+.  Every boundary walks out
+from its signal level with one bracket-and-bisect helper.
+
+The residual is limited by conditioning, not by the solver: u is bisected
+to float resolution, and |sigma*^2| at that u grows as the two signal
+levels approach each other.  Measured on random scenarios, it stayed
+within ROOT_RESIDUAL_TOL (worst 4e-11) whenever the levels lie at least
+0.01 apart (2 sqrt(eta) alpha_q in the symmetric schemes, a0 - a1 for
+discrimination), and reached 5e-8 (symmetric schemes, separations down to
+2e-4) and 3e-7 (discrimination, down to 1e-4).  No check enforces the
+tolerance, since that would reject valid weak-signal inputs.  For strong
+signals the root can sit within one float ulp of the signal level itself
+(the boundary collapses onto it); the solver then returns the correctly
+rounded level and the residual identity still applies.  Where that
+identity has a zero denominator at the root (sigma*^2 diverges), the solve
+raises SolverError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence, Union
 
 from .errors import DomainError, NoCriticalPointError, SolverError
@@ -83,14 +103,14 @@ SITE_SENDER = "sender"
 SITE_RECEIVER = "receiver"
 _SITES = (SITE_SENDER, SITE_RECEIVER)
 
-# Threshold roots are solved to this residual in sigma*^2 (closed-form paths).
+# Residual in sigma*^2 that closed-form boundaries keep when the signal
+# levels lie at least 0.01 apart (measured, not checked; see the solver notes).
 ROOT_RESIDUAL_TOL = 1e-10
 # Non-monotonicity margin for sweeps: the curve must beat its sigma-start
 # value by more than this to count as a resonance.
 SWEEP_MARGIN = 1e-12
 
-_FD_STEP = 1e-6  # one-sided derivative probe at sigma^2 = 0+
-_THETA_WIDTH_TOL = 1e-6  # theta bracket width for derivative-sign bisection
+_THETA_WIDTH_TOL = 1e-6  # theta bracket width for onset-sign bisection
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -314,23 +334,34 @@ def ea_total_variance(s: EAScenario, sigma2: float) -> float:
 # Success probabilities
 
 
+def _symmetric_spec(
+    m: float, variance: float, theta: float, prior0: float
+) -> BinaryThresholdSpec:
+    # Levels -+m with one shared variance; bit 1 is declared at or above theta.
+    return BinaryThresholdSpec(
+        mean0=-m,
+        mean1=+m,
+        var0=variance,
+        var1=variance,
+        theta=theta,
+        prior0=prior0,
+        orientation=ORIENT_ABOVE,
+    )
+
+
+def _classical_spec(
+    s: ClassicalScenario, theta: float, sigma2: float
+) -> BinaryThresholdSpec:
+    _check_finite("theta", theta)
+    m = math.sqrt(s.eta) * s.alpha_q
+    return _symmetric_spec(m, classical_total_variance(s, sigma2), theta, s.prior0)
+
+
 def classical_channel(
     s: ClassicalScenario, theta: float, sigma2: float
 ) -> ThresholdChannel:
     """Induced binary channel of the classical scheme at one noise level."""
-    _check_finite("theta", theta)
-    m = math.sqrt(s.eta) * s.alpha_q
-    v = classical_total_variance(s, sigma2)
-    spec = BinaryThresholdSpec(
-        mean0=-m,
-        mean1=+m,
-        var0=v,
-        var1=v,
-        theta=theta,
-        prior0=s.prior0,
-        orientation=ORIENT_ABOVE,
-    )
-    return build_channel(spec)
+    return build_channel(_classical_spec(s, theta, sigma2))
 
 
 def success_classical(s: ClassicalScenario, theta: float, sigma2: float) -> float:
@@ -341,15 +372,7 @@ def success_classical(s: ClassicalScenario, theta: float, sigma2: float) -> floa
 def _ea_quadrature_success(
     m: float, prior: float, theta: float, variance: float
 ) -> float:
-    spec = BinaryThresholdSpec(
-        mean0=-m,
-        mean1=+m,
-        var0=variance,
-        var1=variance,
-        theta=theta,
-        prior0=prior,
-        orientation=ORIENT_ABOVE,
-    )
+    spec = _symmetric_spec(m, variance, theta, prior)
     return success_probability(build_channel(spec), prior)
 
 
@@ -370,14 +393,16 @@ def success_ea(s: EAScenario, sigma2_q: float, sigma2_p: float) -> float:
     return ps_q * ps_p
 
 
+def _discrimination_levels(s: DiscriminationScenario) -> tuple:
+    return math.sqrt(s.eta0) * s.alpha_q, math.sqrt(s.eta1) * s.alpha_q
+
+
 def _discrimination_variances(s: DiscriminationScenario, sigma2: float) -> tuple:
-    if sigma2 < 0.0:
-        raise DomainError(f"sigma2 must be >= 0, got {sigma2!r}")
-    out = []
-    for eta in (s.eta0, s.eta1):
-        eff = eta * sigma2 if s.noise_site == SITE_SENDER else sigma2
-        out.append(0.5 * (_noise_floor_classical(eta, s.r) + eff))
-    return tuple(out)
+    site = s.noise_site
+    return tuple(
+        0.5 * (_noise_floor_classical(eta, s.r) + _effective_sigma2(sigma2, eta, site))
+        for eta in (s.eta0, s.eta1)
+    )
 
 
 def success_discrimination(
@@ -391,10 +416,11 @@ def success_discrimination(
     outcome falls at or below the threshold.
     """
     _check_finite("theta", theta)
+    a0, a1 = _discrimination_levels(s)
     v0, v1 = _discrimination_variances(s, sigma2)
     spec = BinaryThresholdSpec(
-        mean0=math.sqrt(s.eta0) * s.alpha_q,
-        mean1=math.sqrt(s.eta1) * s.alpha_q,
+        mean0=a0,
+        mean1=a1,
         var0=v0,
         var1=v1,
         theta=theta,
@@ -415,6 +441,21 @@ def _check_solvable_prior(prior0: float) -> None:
         )
 
 
+def _log_ratio(num: float, den: float) -> float:
+    # ln R, R = num / den, of a closed-form stationary condition.
+    if den == 0.0 or num == 0.0:
+        raise NoCriticalPointError("threshold at a signal level")
+    ratio = num / den
+    if ratio <= 0.0:
+        raise NoCriticalPointError(
+            "threshold between the signal levels: no stationary point"
+        )
+    log_ratio = math.log(ratio)
+    if log_ratio == 0.0:
+        raise NoCriticalPointError("degenerate threshold: log ratio vanishes")
+    return log_ratio
+
+
 def critical_sigma2_classical(s: ClassicalScenario, theta: float) -> float:
     """Noise variance at which d P_s / d sigma^2 = 0 for the classical scheme.
 
@@ -430,23 +471,19 @@ def critical_sigma2_classical(s: ClassicalScenario, theta: float) -> float:
     m = math.sqrt(s.eta) * s.alpha_q
     if m == 0.0:
         raise NoCriticalPointError("zero signal amplitude: no critical noise level")
-    num = s.prior0 * (theta + m)
-    den = (1.0 - s.prior0) * (theta - m)
-    if den == 0.0 or num == 0.0:
-        raise NoCriticalPointError("threshold at a signal level")
-    ratio = num / den
-    if ratio <= 0.0:
-        raise NoCriticalPointError(
-            "threshold between the signal levels: no stationary point"
-        )
-    log_ratio = math.log(ratio)
-    if log_ratio == 0.0:
-        raise NoCriticalPointError("degenerate threshold: log ratio vanishes")
+    log_ratio = _log_ratio(s.prior0 * (theta + m), (1.0 - s.prior0) * (theta - m))
     k = _noise_floor_classical(s.eta, s.r)
     value = 4.0 * m * theta / log_ratio - k
     if s.noise_site == SITE_SENDER:
         value /= s.eta
     return value
+
+
+def _discrimination_b(s: DiscriminationScenario, theta: float) -> float:
+    # B(theta) of the receiver-site r = 0 stationary condition ln R = B.
+    return s.alpha_q * s.alpha_q * (s.eta0 - s.eta1) - 2.0 * s.alpha_q * theta * (
+        math.sqrt(s.eta0) - math.sqrt(s.eta1)
+    )
 
 
 def critical_sigma2_discrimination(s: DiscriminationScenario, theta: float) -> float:
@@ -458,48 +495,51 @@ def critical_sigma2_discrimination(s: DiscriminationScenario, theta: float) -> f
     monotonicity.  Any squeezing, or sender-site noise (which scales
     differently under the two hypotheses), has no algebraic stationary
     condition; those paths locate the interior maximum numerically to 1e-10
-    in sigma^2 and return -1.0 when the curve already falls at 0+.
+    in sigma^2 and return -1.0 when the exact onset sign says the curve does
+    not rise at 0+.
     """
     _check_finite("theta", theta)
     _check_solvable_prior(s.prior0)
     if s.alpha_q == 0.0:
         raise NoCriticalPointError("zero signal amplitude: no critical noise level")
     if s.r > 0.0 or s.noise_site == SITE_SENDER:
+        if _onset_sign(s, theta) <= 0.0:
+            return -1.0
         return _critical_sigma2_numeric(
             lambda sig2: success_discrimination(s, theta, sig2)
         )
-    a0 = math.sqrt(s.eta0) * s.alpha_q
-    a1 = math.sqrt(s.eta1) * s.alpha_q
-    num = s.prior0 * (theta - a0)
-    den = (1.0 - s.prior0) * (theta - a1)
-    if den == 0.0 or num == 0.0:
-        raise NoCriticalPointError("threshold at a signal level")
-    ratio = num / den
-    if ratio <= 0.0:
-        raise NoCriticalPointError(
-            "threshold between the signal levels: no stationary point"
+    a0, a1 = _discrimination_levels(s)
+    log_ratio = _log_ratio(s.prior0 * (theta - a0), (1.0 - s.prior0) * (theta - a1))
+    return -1.0 + _discrimination_b(s, theta) / log_ratio
+
+
+def _onset_sign(s: DiscriminationScenario, theta: float) -> float:
+    """g(theta), positive exactly where d P_s / d sigma^2 > 0 at sigma^2 = 0+.
+
+    The derivative is the difference of p_x c_x (theta - a_x) phi_x / v_x^1.5
+    over the two hypotheses (up to a positive factor); g compares their
+    logarithms, so it keeps its sign far into the Gaussian tails.
+    """
+    a0, a1 = _discrimination_levels(s)
+    if a1 <= theta <= a0:
+        return -math.inf  # the curve always falls between the levels
+    sender = s.noise_site == SITE_SENDER
+    terms = [
+        log_p + (math.log(eta) if sender else 0.0) + math.log(abs(theta - level))
+        - (theta - level) ** 2 / (2.0 * v) - 1.5 * math.log(v)
+        for log_p, eta, level, v in zip(
+            (math.log(s.prior0), math.log1p(-s.prior0)),
+            (s.eta0, s.eta1),
+            (a0, a1),
+            _discrimination_variances(s, 0.0),
         )
-    log_ratio = math.log(ratio)
-    if log_ratio == 0.0:
-        raise NoCriticalPointError("degenerate threshold: log ratio vanishes")
-    b = s.alpha_q * s.alpha_q * (s.eta0 - s.eta1) - 2.0 * s.alpha_q * theta * (
-        math.sqrt(s.eta0) - math.sqrt(s.eta1)
-    )
-    return -1.0 + b / log_ratio
-
-
-def _forward_derivative_at_zero(f: Callable[[float], float]) -> float:
-    # Three-point one-sided difference at sigma^2 = 0 (second-order accurate;
-    # the Richardson combination of the h and 2h forward differences).
-    h = _FD_STEP
-    f0 = f(0.0)
-    return (4.0 * f(h) - f(2.0 * h) - 3.0 * f0) / (2.0 * h)
+    ]
+    g = terms[0] - terms[1]
+    return g if theta > a0 else -g
 
 
 def _critical_sigma2_numeric(ps: Callable[[float], float]) -> float:
-    """Interior argmax of a success curve over sigma^2, or -1.0 if none."""
-    if _forward_derivative_at_zero(ps) <= 0.0:
-        return -1.0
+    """Interior argmax over sigma^2 of a success curve that rises at 0+."""
     # Walk a geometric grid until the curve turns over, then refine.
     a = 0.0
     b = 1e-3
@@ -521,41 +561,58 @@ def _critical_sigma2_numeric(ps: Callable[[float], float]) -> float:
 # Forbidden-interval solvers
 
 _OFFSET_START = 1e-6  # initial distance from the signal level, in theta
+_U_FLOOR = -1e9  # lower search bound of the log offset u = ln|theta - level|
 
 
-def _expand_bracket_up(
-    h: Callable[[float], float], u0: float, f0: float, u_cap: float
-) -> tuple:
-    # h(u0) > 0, h decreasing toward -inf: double the step until sign flips.
-    step = math.log(2.0)
-    u_lo, u_hi = u0, u0 + step
+def _bracket_and_bisect(
+    f: Callable[[float], float], x0: float, f0: float, bound: float, step: float,
+    *, xtol: float, maxit: int,
+) -> float:
+    """Root of f between x0 and bound, where f(x0) = f0 is nonzero.
+
+    Steps out from x0 toward bound, doubling the step each time, until f is
+    zero or has changed sign.  The last step is clamped to bound, and
+    SolverError is raised only if f keeps its sign there too.  The final
+    step is then bisected.
+    """
+    direction = math.copysign(1.0, bound - x0)
+    inner = x0
     while True:
-        if u_hi > u_cap:
+        outer = inner + direction * step
+        if direction * (outer - bound) > 0.0:
+            outer = bound
+        f_out = f(outer)
+        if f_out == 0.0 or (f_out > 0.0) != (f0 > 0.0):
+            break
+        if outer == bound:
             raise SolverError(
                 "forbidden-interval bracketing failed: no sign change below the "
                 "search bound"
             )
-        f_hi = h(u_hi)
-        if f_hi <= 0.0:
-            return u_lo, u_hi
-        u_lo = u_hi
-        step *= 2.0
-        u_hi = u_lo + step
+        inner, step = outer, 2.0 * step
+    lo, hi = sorted((inner, outer))
+    return bisect(f, lo, hi, xtol=xtol, maxit=maxit)
 
 
-def _expand_bracket_down(h: Callable[[float], float], u0: float) -> tuple:
-    # h(u0) < 0, h -> +inf as u -> -inf (linearly): double the step downward.
-    step = math.log(2.0)
-    u_hi, u_lo = u0, u0 - step
-    while True:
-        f_lo = h(u_lo)
-        if f_lo >= 0.0:
-            return u_lo, u_hi
-        u_hi = u_lo
-        step *= 2.0
-        u_lo = u_hi - step
-        if u_lo < -1e9:  # unreachable for finite parameters; hard stop
-            raise SolverError("forbidden-interval bracketing failed (underflow)")
+def _log_offset_root(h: Callable[[float], float], u_cap: float) -> float:
+    # Root of h(u), positive inside the interval and negative beyond it,
+    # over the log offset u from the signal level.
+    u0 = math.log(_OFFSET_START)
+    f0 = h(u0)
+    if f0 == 0.0:
+        return u0
+    bound = u_cap if f0 > 0.0 else _U_FLOOR
+    return _bracket_and_bisect(h, u0, f0, bound, math.log(2.0), xtol=1e-14, maxit=300)
+
+
+def _residual(num: float, den: float, level: str) -> float:
+    # |sigma*^2| at a boundary from its exact identity num / den.
+    if den == 0.0:
+        raise SolverError(
+            f"sigma*^2 diverges at the forbidden-interval boundary next to signal "
+            f"level {level}: its residual identity has a zero denominator"
+        )
+    return abs(num / den)
 
 
 def _symmetric_upper_root(m: float, k: float, prior0: float, u_cap: float) -> tuple:
@@ -572,18 +629,10 @@ def _symmetric_upper_root(m: float, k: float, prior0: float, u_cap: float) -> tu
         t = math.exp(u)
         return math.log(2.0 * m + t) + lpr - u - 4.0 * m * (m + t) / k
 
-    u0 = math.log(_OFFSET_START)
-    f0 = h(u0)
-    if f0 > 0.0:
-        u_lo, u_hi = _expand_bracket_up(h, u0, f0, u_cap)
-    elif f0 < 0.0:
-        u_lo, u_hi = _expand_bracket_down(h, u0)
-    else:
-        u_lo = u_hi = u0
-    u_root = u0 if u_lo == u_hi else bisect(h, u_lo, u_hi, xtol=1e-14, maxit=300)
+    u_root = _log_offset_root(h, u_cap)
     t = math.exp(u_root)
     h_val = h(u_root)
-    residual = abs(-k * k * h_val / (k * h_val + 4.0 * m * (m + t)))
+    residual = _residual(-k * k * h_val, k * h_val + 4.0 * m * (m + t), f"±{m!r}")
     return m + t, residual
 
 
@@ -606,7 +655,9 @@ def _symmetric_interval(
 def forbidden_interval_classical(s: ClassicalScenario) -> ForbiddenInterval:
     """Threshold interval of guaranteed monotone noise response (classical).
 
-    Boundaries satisfy sigma*^2(theta) = 0 to within ROOT_RESIDUAL_TOL and
+    Boundaries are roots of sigma*^2(theta) = 0; the residual fields report
+    |sigma*^2| there, which stays within ROOT_RESIDUAL_TOL for signal levels
+    sqrt(eta) alpha_q >= 0.005 (see the module's solver notes).  They
     bracket the signal levels: lo <= -sqrt(eta) alpha_q < sqrt(eta) alpha_q
     <= hi.  The interval does not depend on the noise-injection site since
     sender and receiver curves differ only by the reparametrization
@@ -633,126 +684,63 @@ def forbidden_rectangle(s: EAScenario) -> ForbiddenRectangle:
     return ForbiddenRectangle(q_interval=q_int, p_interval=p_int)
 
 
-def _discrimination_upper_root(
-    s: DiscriminationScenario, a0: float, a1: float, u_cap: float
+def _discrimination_root(
+    s: DiscriminationScenario, side: int, u_cap: float
 ) -> tuple:
-    # Solve h(u) = ln R - B = 0 with theta = a0 + e^u (theta > a0 branch).
+    """Receiver-site r = 0 boundary above a0 (side +1) or below a1 (side -1).
+
+    Solves g(u) = ln(w |theta - a0|) - ln((1-w) |theta - a1|) - B(theta) = 0
+    with theta = a0 + e^u or a1 - e^u.  Returns (theta, |sigma*^2| residual).
+    """
+    a0, a1 = _discrimination_levels(s)
+    level = a0 if side > 0 else a1
     lpr = math.log(s.prior0) - math.log1p(-s.prior0)
     gap = a0 - a1
-    droot = math.sqrt(s.eta0) - math.sqrt(s.eta1)
-    b_const = s.alpha_q * s.alpha_q * (s.eta0 - s.eta1)
 
-    def b_of(theta: float) -> float:
-        return b_const - 2.0 * s.alpha_q * theta * droot
-
-    def h(u: float) -> float:
+    def g(u: float) -> float:
         t = math.exp(u)
-        return lpr + u - math.log(gap + t) - b_of(a0 + t)
+        ln_far = math.log(gap + t)
+        ln_d0, ln_d1 = (u, ln_far) if side > 0 else (ln_far, u)
+        return lpr + ln_d0 - ln_d1 - _discrimination_b(s, level + side * t)
 
-    u0 = math.log(_OFFSET_START)
-    f0 = h(u0)
-    if f0 < 0.0:
-        u_lo, u_hi = _expand_bracket_up(lambda u: -h(u), u0, -f0, u_cap)
-    elif f0 > 0.0:
-        u_lo, u_hi = _expand_bracket_down(lambda u: -h(u), u0)
-    else:
-        u_lo = u_hi = u0
-    u_root = u0 if u_lo == u_hi else bisect(h, u_lo, u_hi, xtol=1e-14, maxit=300)
-    t = math.exp(u_root)
-    theta = a0 + t
-    h_val = h(u_root)
-    residual = abs(-h_val / (b_of(theta) + h_val))
-    return theta, residual
-
-
-def _discrimination_lower_root(
-    s: DiscriminationScenario, a0: float, a1: float, u_cap: float
-) -> tuple:
-    # Solve the same stationary condition with theta = a1 - e^u (theta < a1).
-    lpr = math.log(s.prior0) - math.log1p(-s.prior0)
-    gap = a0 - a1
-    droot = math.sqrt(s.eta0) - math.sqrt(s.eta1)
-    b_const = s.alpha_q * s.alpha_q * (s.eta0 - s.eta1)
-
-    def b_of(theta: float) -> float:
-        return b_const - 2.0 * s.alpha_q * theta * droot
-
-    def h(u: float) -> float:
-        t = math.exp(u)
-        return lpr + math.log(gap + t) - u - b_of(a1 - t)
-
-    u0 = math.log(_OFFSET_START)
-    f0 = h(u0)
-    if f0 > 0.0:
-        u_lo, u_hi = _expand_bracket_up(h, u0, f0, u_cap)
-    elif f0 < 0.0:
-        u_lo, u_hi = _expand_bracket_down(h, u0)
-    else:
-        u_lo = u_hi = u0
-    u_root = u0 if u_lo == u_hi else bisect(h, u_lo, u_hi, xtol=1e-14, maxit=300)
-    t = math.exp(u_root)
-    theta = a1 - t
-    h_val = h(u_root)
-    residual = abs(-h_val / (b_of(theta) + h_val))
-    return theta, residual
+    u_root = _log_offset_root(lambda u: -side * g(u), u_cap)
+    theta = level + side * math.exp(u_root)
+    g_val = g(u_root)
+    return theta, _residual(-g_val, _discrimination_b(s, theta) + g_val, repr(level))
 
 
 def _interval_by_onset_sign(s: DiscriminationScenario) -> ForbiddenInterval:
-    # No closed form: classify each theta by the sign of d P_s / d sigma^2
-    # at 0+ and bisect the sign change over theta on each side.
-    a0 = math.sqrt(s.eta0) * s.alpha_q
-    a1 = math.sqrt(s.eta1) * s.alpha_q
+    # No closed form: bisect the exact onset sign over theta on each side.
+    a0, a1 = _discrimination_levels(s)
     cap = 1e6 * max(s.alpha_q, 1.0)
-
-    def onset(theta: float) -> float:
-        return _forward_derivative_at_zero(
-            lambda sig2: success_discrimination(s, theta, sig2)
+    onset = partial(_onset_sign, s)
+    lo, hi = (
+        _bracket_and_bisect(
+            onset, level, onset(level), bound, 0.125, xtol=_THETA_WIDTH_TOL, maxit=200
         )
-
-    def edge(start: float, direction: float) -> tuple:
-        if onset(start) > 0.0:
-            return start, 0.0  # boundary collapsed onto the signal level
-        step = 0.125
-        inner = start
-        while True:
-            outer = inner + direction * step
-            if abs(outer) > cap:
-                raise SolverError(
-                    "forbidden-interval bracketing failed: no derivative sign "
-                    "change below the search bound"
-                )
-            if onset(outer) > 0.0:
-                break
-            inner = outer
-            step *= 2.0
-        lo, hi = (inner, outer) if direction > 0 else (outer, inner)
-        root = bisect(onset, lo, hi, xtol=_THETA_WIDTH_TOL, maxit=200)
-        return root, _THETA_WIDTH_TOL
-
-    hi, res_hi = edge(a0, +1.0)
-    lo, res_lo = edge(a1, -1.0)
-    return ForbiddenInterval(lo=lo, hi=hi, residual_lo=res_lo, residual_hi=res_hi)
+        for level, bound in ((a1, -cap), (a0, cap))
+    )
+    return ForbiddenInterval(lo, hi, _THETA_WIDTH_TOL, _THETA_WIDTH_TOL)
 
 
 def forbidden_interval_discrimination(s: DiscriminationScenario) -> ForbiddenInterval:
     """Threshold interval of monotone noise response for discrimination.
 
     Boundaries obey lo <= sqrt(eta1) alpha_q < sqrt(eta0) alpha_q <= hi.
-    Receiver-site noise with r = 0 solves the stationary-condition roots to
-    ROOT_RESIDUAL_TOL; squeezed or sender-site scenarios classify membership
-    by the derivative sign at sigma^2 = 0+ and bisect the boundary in theta
-    to width 1e-6 (reported in the residual fields).
+    Receiver-site noise with r = 0 solves the stationary-condition roots and
+    reports |sigma*^2| there, within ROOT_RESIDUAL_TOL when the levels lie
+    at least 0.01 apart (see the module's solver notes).  Squeezed or
+    sender-site scenarios bisect the exact sign of d P_s / d sigma^2 at
+    sigma^2 = 0+ over theta to width 1e-6 (reported in the residual fields).
     """
     _check_solvable_prior(s.prior0)
     if s.alpha_q == 0.0:
         raise NoCriticalPointError("zero signal amplitude: no forbidden interval")
     if s.r > 0.0 or s.noise_site == SITE_SENDER:
         return _interval_by_onset_sign(s)
-    a0 = math.sqrt(s.eta0) * s.alpha_q
-    a1 = math.sqrt(s.eta1) * s.alpha_q
     u_cap = math.log(1e6 * max(s.alpha_q, 1.0))
-    hi, res_hi = _discrimination_upper_root(s, a0, a1, u_cap)
-    lo, res_lo = _discrimination_lower_root(s, a0, a1, u_cap)
+    hi, res_hi = _discrimination_root(s, +1, u_cap)
+    lo, res_lo = _discrimination_root(s, -1, u_cap)
     return ForbiddenInterval(lo=lo, hi=hi, residual_lo=res_lo, residual_hi=res_hi)
 
 

@@ -129,6 +129,23 @@ class TestInterval:
         assert code == 2
         assert "vary" in err
 
+    def test_root_beyond_last_doubling_step_solves(self):
+        code, out, _ = run_cli([
+            "interval", "--eta", "0.3", "--alpha-q", "0.003", "--prior0", "1e-7",
+        ])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0][0] < -math.sqrt(0.3) * 0.003
+
+    def test_divergent_residual_exits_3(self):
+        code, out, err = run_cli([
+            "interval", "--eta", "0.5", "--alpha-q", "1e-8", "--prior0", "0.01",
+        ])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: interval failed: ")
+        assert "Traceback" not in err
+
 
 class TestRectangle:
     def test_row_is_symmetric_for_equal_amplitudes(self):

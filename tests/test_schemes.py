@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srbosonic.errors import DomainError, NoCriticalPointError
+from srbosonic.errors import DomainError, NoCriticalPointError, SolverError
 from srbosonic.schemes import (
+    ROOT_RESIDUAL_TOL,
     ClassicalScenario,
     DiscriminationScenario,
     EAScenario,
@@ -339,6 +340,54 @@ class TestForbiddenIntervalClassical:
             scenarios += 1
         assert thetas_checked > 3000
 
+    def test_root_found_where_doubling_step_passes_search_bound(self):
+        # The mirrored root's doubling step jumps past the search bound;
+        # the last step must be clamped to the bound, where h has already
+        # changed sign, instead of giving up.
+        s = ClassicalScenario(eta=0.3, alpha_q=0.003, prior0=1e-7)
+        iv = forbidden_interval_classical(s)
+        assert iv.lo < -math.sqrt(0.3) * 0.003
+        assert critical_sigma2_classical(s, 1.001 * iv.lo) > 0.0
+        assert critical_sigma2_classical(s, 0.999 * iv.lo) < 0.0
+
+    def test_divergent_residual_identity_raises_solver_error(self):
+        # At this root sigma*^2 has a pole: the residual identity's
+        # denominator is exactly zero, which must not escape as
+        # ZeroDivisionError.
+        s = ClassicalScenario(eta=0.5, alpha_q=1e-8, prior0=0.01)
+        with pytest.raises(SolverError, match="signal level"):
+            forbidden_interval_classical(s)
+
+    @given(
+        eta=st.floats(0.01, 1.0),
+        level_q=st.floats(0.01, 30.0),
+        level_p=st.floats(0.01, 30.0),
+        r=st.floats(0.0, 3.0),
+        prior_q=st.floats(1e-9, 1.0 - 1e-9),
+        prior_p=st.floats(1e-9, 1.0 - 1e-9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_residual_contract(self, eta, level_q, level_p, r, prior_q, prior_p):
+        # Signal levels sqrt(eta) alpha_q >= 0.01 always solve, with
+        # |sigma*^2| at both boundaries within ROOT_RESIDUAL_TOL.
+        root_eta = math.sqrt(eta)
+        iv = forbidden_interval_classical(
+            ClassicalScenario(eta=eta, alpha_q=level_q / root_eta, r=r, prior0=prior_q)
+        )
+        rect = forbidden_rectangle(
+            ea_scenario(
+                eta=eta,
+                r=r,
+                prior_q=prior_q,
+                prior_p=prior_p,
+                alpha_q=level_q / root_eta,
+                alpha_p=level_p / root_eta,
+            )
+        )
+        for interval in (iv, rect.q_interval, rect.p_interval):
+            assert interval.residual_lo <= ROOT_RESIDUAL_TOL
+            assert interval.residual_hi <= ROOT_RESIDUAL_TOL
+
 
 class TestEA:
     def test_quadrature_and_product(self):
@@ -481,11 +530,25 @@ class TestDiscrimination:
             assert iv.hi >= math.sqrt(e0) * s.alpha_q
 
     def test_numeric_path_consistent_with_closed_form(self):
-        # r -> 0 limit of the derivative-sign solver lands on the r = 0 roots.
-        closed = forbidden_interval_discrimination(disc_scenario())
-        numeric = forbidden_interval_discrimination(disc_scenario(r=1e-9))
-        assert numeric.hi == pytest.approx(closed.hi, abs=1e-5)
-        assert numeric.lo == pytest.approx(closed.lo, abs=1e-5)
+        # r -> 0 limit of the derivative-sign solver lands on the r = 0 roots,
+        # including thresholds deep in the Gaussian tails (small alpha with
+        # a skewed prior).
+        grid = [dict()] + [
+            dict(eta0=eta0, eta1=eta1, alpha_q=alpha, prior0=prior0)
+            for eta0, eta1 in ((0.9, 0.4), (0.8, 0.6), (0.5, 0.1))
+            for alpha in (0.5, 1.5, 3.0)
+            for prior0 in (0.2, 0.5, 0.8)
+        ]
+        for kw in grid:
+            closed = forbidden_interval_discrimination(disc_scenario(**kw))
+            numeric = forbidden_interval_discrimination(disc_scenario(r=1e-9, **kw))
+            assert numeric.hi == pytest.approx(closed.hi, abs=1e-5), kw
+            assert numeric.lo == pytest.approx(closed.lo, abs=1e-5), kw
+
+    def test_root_found_where_doubling_step_passes_search_bound(self):
+        s = DiscriminationScenario(eta0=0.9, eta1=0.4, alpha_q=0.003, prior0=1e-7)
+        iv = forbidden_interval_discrimination(s)
+        assert iv.lo <= math.sqrt(0.4) * 0.003 < math.sqrt(0.9) * 0.003 <= iv.hi
 
     def test_squeezed_interval_and_interior_max(self):
         s = disc_scenario(r=0.5)
