@@ -28,7 +28,7 @@ from functools import partial
 
 from . import __version__
 from .errors import CutoffError, DomainError, NoCriticalPointError, SolverError
-from .private_rate import PrivateScenario, conjecture_probe, private_rate
+from .private_rate import PrivateScenario, _chi_by_sigma, _rate, conjecture_probe
 from .qubit import QuantumCommParams, average_fidelity, choi_state, log_negativity
 from .schemes import (
     ClassicalScenario,
@@ -272,10 +272,43 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _single_thread_blas() -> None:
+    """Pool initializer: one OpenBLAS thread per worker process.
+
+    Workers already split the cores between them; a multithreaded BLAS
+    in each would oversubscribe them.  numpy's own extension module
+    resolves the OpenBLAS it links, so the setter is looked up there.
+    If none is found (another BLAS, another numpy layout), nothing is set.
+    """
+    import ctypes
+    import importlib
+
+    try:
+        umath = importlib.import_module("numpy._core._multiarray_umath")
+        lib = ctypes.CDLL(umath.__file__)
+    except (ImportError, AttributeError, OSError):
+        return
+    for name in _BLAS_THREAD_SETTERS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+            return
+
+
 def _map_values(fn, xs, parallel: int) -> list:
     if parallel <= 1 or len(xs) <= 1:
         return [fn(x) for x in xs]
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
+    with ProcessPoolExecutor(max_workers=parallel, initializer=_single_thread_blas) as pool:
         return list(pool.map(fn, xs))
 
 
@@ -294,10 +327,6 @@ def _point_fidelity(x0: float, theta: float, sigma: float) -> float:
 
 def _point_negativity(x0: float, theta: float, sigma: float) -> float:
     return log_negativity(choi_state(QuantumCommParams(x0=x0, theta=theta, sigma2=sigma * sigma)))
-
-
-def _point_private(base: ClassicalScenario, theta: float, sigma: float) -> float:
-    return private_rate(PrivateScenario(base=base, theta=theta), sigma * sigma)
 
 
 def _point_interval_vary(kwargs: tuple, field: str, value: float) -> tuple:
@@ -325,13 +354,44 @@ def _classical_scenario(cfg: dict) -> ClassicalScenario:
     )
 
 
+def _call(fn, args: tuple):
+    return fn(*args)
+
+
 def _theta_series(cfg: dict, point_fn, *args):
-    """One series per θ of point_fn(*args, theta, sigma) over the σ grid."""
-    series = []
-    for theta in cfg["theta"]:
-        values = _map_values(partial(point_fn, *args, theta), cfg["grid"], cfg["parallel"])
-        series.append((f"theta={_fmt(theta)}", values))
-    return "sigma", cfg["grid"], series
+    """One series per θ of point_fn(*args, theta, sigma) over the σ grid.
+
+    All (θ, σ) points go through one ``_map_values`` call, so a parallel
+    run starts one pool per command.
+    """
+    thetas, grid = cfg["theta"], cfg["grid"]
+    jobs = [(theta, sigma) for theta in thetas for sigma in grid]
+    values = _map_values(partial(_call, partial(point_fn, *args)), jobs, cfg["parallel"])
+    width = len(grid)
+    series = [
+        (f"theta={_fmt(theta)}", values[index * width : (index + 1) * width])
+        for index, theta in enumerate(thetas)
+    ]
+    return "sigma", grid, series
+
+
+def _run_private(cfg: dict):
+    """χ once per distinct σ_E² (pooled), then the cheap I(A:B) − χ rows."""
+    base = _classical_scenario(cfg)
+    grid = cfg["grid"]
+    chis = _chi_by_sigma(
+        PrivateScenario(base=base, theta=cfg["theta"][0]),
+        grid,
+        partial(_map_values, parallel=cfg["parallel"]),
+    )
+    series = [
+        (
+            f"theta={_fmt(theta)}",
+            [_rate(base, theta, sigma * sigma, chi) for sigma, chi in zip(grid, chis)],
+        )
+        for theta in cfg["theta"]
+    ]
+    return "sigma", grid, series
 
 
 def _run_interval(cfg: dict):
@@ -434,7 +494,7 @@ _RUNNERS = {
     "discriminate": _run_discriminate,
     "fidelity": lambda cfg: _theta_series(cfg, _point_fidelity, cfg["x0"]),
     "negativity": lambda cfg: _theta_series(cfg, _point_negativity, cfg["x0"]),
-    "private": lambda cfg: _theta_series(cfg, _point_private, _classical_scenario(cfg)),
+    "private": _run_private,
     "probe-conjecture": _run_probe,
     "mc-check": _run_mc_check,
 }

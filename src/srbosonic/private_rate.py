@@ -11,12 +11,19 @@ moves exactly with I(A:B).
 χ needs the entropy of a two-component Gaussian mixture, which is not
 Gaussian; that term runs through the Fock-space engine with the adaptive
 cutoff loop, while the component entropies use the closed form.
+
+χ never depends on the decoding threshold θ, and it depends on σ only
+through the eavesdropper's added variance σ_E² (σ² at the sender site, 0
+at the receiver site).  A rate over a σ grid therefore computes χ once
+per distinct σ_E² (``_chi_by_sigma``) and shares it across every θ; the
+rate value I(A:B) − χ itself is written once, in ``_rate``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -176,12 +183,33 @@ def holevo_chi(e: EveEnsemble) -> float:
     return max(0.0, _mixture_entropy(e) - parts)
 
 
+def _rate(base: ClassicalScenario, theta: float, sigma2: float, chi: float) -> float:
+    """I(A:B) − χ with the eavesdropper's χ supplied by the caller."""
+    return mutual_information(classical_channel(base, theta, sigma2), base.prior0) - chi
+
+
+def _eve_chi(s: PrivateScenario, sigma_e2: float) -> float:
+    return holevo_chi(eve_ensemble(s, sigma_e2))
+
+
+def _chi_by_sigma(s: PrivateScenario, sigmas, map_fn=map) -> list:
+    """χ at each σ of the grid, one ``holevo_chi`` per distinct σ_E².
+
+    σ_E² is σ² at the sender site and 0 at the receiver site, where the
+    whole grid shares a single χ.  ``map_fn(fn, xs)`` evaluates fn over
+    the distinct σ_E² values in grid order; the CLI passes its process
+    pool here.
+    """
+    sender = s.base.noise_site == SITE_SENDER
+    keys = [sig * sig if sender else 0.0 for sig in sigmas]
+    distinct = list(dict.fromkeys(keys))
+    chi_by_key = dict(zip(distinct, map_fn(partial(_eve_chi, s), distinct)))
+    return [chi_by_key[key] for key in keys]
+
+
 def private_rate(s: PrivateScenario, sigma2: float) -> float:
     """I(A:B) − χ(A:E) at one added-noise level; may be negative."""
-    info_ab = mutual_information(
-        classical_channel(s.base, s.theta, sigma2), s.base.prior0
-    )
-    return info_ab - holevo_chi(eve_ensemble(s, sigma2))
+    return _rate(s.base, s.theta, sigma2, holevo_chi(eve_ensemble(s, sigma2)))
 
 
 @dataclass(frozen=True)
@@ -201,8 +229,12 @@ def conjecture_probe(s: PrivateScenario, theta_list, sigma_grid) -> tuple:
     eavesdropper too.  The flag is raised when the best rate at σ > 0
     beats the rate at the first grid point by more than 1e-6; the
     maximizing σ is refined by golden section between its grid
-    neighbors when the peak is not at the grid edge.  χ does not depend
-    on θ, so it is evaluated once per σ and shared across the list.
+    neighbors when the peak is not at the grid edge.
+
+    χ does not depend on θ, so the grid stage evaluates it once per σ
+    (``_chi_by_sigma``) and shares it across the whole θ list; only the
+    golden-section refinement, whose σ values are off the grid, computes
+    a fresh χ at each of its evaluations.
     """
     if not isinstance(s, PrivateScenario):
         raise DomainError("s must be a PrivateScenario")
@@ -221,7 +253,7 @@ def conjecture_probe(s: PrivateScenario, theta_list, sigma_grid) -> tuple:
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise DomainError("sigma_grid must be strictly increasing")
 
-    chi_by_sigma = [holevo_chi(eve_ensemble(s, sig * sig)) for sig in sigmas]
+    chi_by_sigma = _chi_by_sigma(s, sigmas)
 
     results = []
     for theta in thetas:
@@ -229,10 +261,9 @@ def conjecture_probe(s: PrivateScenario, theta_list, sigma_grid) -> tuple:
             probe = PrivateScenario(base=s.base, theta=theta)
             return private_rate(probe, sigma * sigma)
 
-        values = []
-        for sig, chi in zip(sigmas, chi_by_sigma):
-            ch = classical_channel(s.base, theta, sig * sig)
-            values.append(mutual_information(ch, s.base.prior0) - chi)
+        values = [
+            _rate(s.base, theta, sig * sig, chi) for sig, chi in zip(sigmas, chi_by_sigma)
+        ]
         best = int(np.argmax(values))
         best_sigma = sigmas[best]
         best_value = values[best]

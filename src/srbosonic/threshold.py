@@ -40,6 +40,9 @@ ORIENT_ABOVE = "above"
 ORIENT_BELOW = "below"
 _ORIENTATIONS = (ORIENT_ABOVE, ORIENT_BELOW)
 
+# Monte Carlo samples per noise block
+_MC_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class BinaryThresholdSpec:
@@ -190,16 +193,22 @@ def mc_success_probability(spec: BinaryThresholdSpec, n: int, seed: int) -> McEs
         raise DomainError(f"n must be >= 1, got {n!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     is_one = rng.random(n) >= spec.prior0
-    noise = rng.standard_normal(n)
-    outcome = np.where(
-        is_one,
-        spec.mean1 + math.sqrt(spec.var1) * noise,
-        spec.mean0 + math.sqrt(spec.var0) * noise,
-    )
-    if spec.orientation == ORIENT_ABOVE:
-        decoded_one = outcome >= spec.theta
-    else:
-        decoded_one = outcome <= spec.theta
-    est = float(np.mean(decoded_one == is_one))
+    correct = 0
+    # the noise is drawn block by block from the same stream, so memory
+    # stays bounded while every sample matches a single draw of n
+    for start in range(0, n, _MC_BLOCK):
+        sent_one = is_one[start : start + _MC_BLOCK]
+        noise = rng.standard_normal(sent_one.size)
+        outcome = np.where(
+            sent_one,
+            spec.mean1 + math.sqrt(spec.var1) * noise,
+            spec.mean0 + math.sqrt(spec.var0) * noise,
+        )
+        if spec.orientation == ORIENT_ABOVE:
+            decoded_one = outcome >= spec.theta
+        else:
+            decoded_one = outcome <= spec.theta
+        correct += int(np.count_nonzero(decoded_one == sent_one))
+    est = correct / n
     se = math.sqrt(est * (1.0 - est) / n)
     return McEstimate(estimate=est, std_error=se, n_samples=n, seed=seed)

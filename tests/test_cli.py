@@ -6,6 +6,7 @@ tests pin the output schema as well as the numbers.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -28,6 +29,9 @@ from srbosonic.schemes import (
     success_classical,
     success_discrimination,
 )
+
+# the package re-exports the function private_rate under the module's name
+private_rate_module = importlib.import_module("srbosonic.private_rate")
 
 
 def run_cli(argv):
@@ -525,3 +529,58 @@ class TestRoundTrip:
         value = success_classical(scenario, 0.85, 0.25 * 0.25)
         row = next(r for r in rows if r[0] == 0.25)
         assert row[1] == value and not math.isnan(value)
+
+
+PRIVATE_ARGS = [
+    "private", "--eta", "0.8", "--alpha-q", "1", "--theta", "0,1,2",
+    "--grid-start", "0", "--grid-stop", "1", "--grid-step", "0.25",
+]
+
+
+@pytest.fixture
+def chi_calls(monkeypatch):
+    """Counts the Holevo evaluations made through the private-rate module."""
+    calls = []
+    original = private_rate_module.holevo_chi
+
+    def counted(e):
+        calls.append(e)
+        return original(e)
+
+    monkeypatch.setattr(private_rate_module, "holevo_chi", counted)
+    return calls
+
+
+class TestSharedChi:
+    def test_sender_site_computes_chi_once_per_sigma(self, chi_calls):
+        code, out, _ = run_cli(PRIVATE_ARGS + ["--site", "sender", "--parallel", "1"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 5 and len(rows[0]) == 4
+        assert len(chi_calls) == 5
+
+    def test_receiver_site_computes_chi_once(self, chi_calls):
+        code, _, _ = run_cli(PRIVATE_ARGS + ["--site", "receiver", "--parallel", "1"])
+        assert code == 0
+        assert len(chi_calls) == 1
+
+
+class TestPrivateParallel:
+    @pytest.mark.parametrize(
+        "extra",
+        [["--site", "sender"], ["--site", "receiver"], ["--site", "sender", "--format", "json"]],
+    )
+    def test_parallel_does_not_change_bytes(self, extra):
+        code, serial, _ = run_cli(PRIVATE_ARGS + extra + ["--parallel", "1"])
+        assert code == 0
+        _, fanned, _ = run_cli(PRIVATE_ARGS + extra + ["--parallel", "2"])
+        assert fanned == serial
+
+    def test_cutoff_failure_exits_3_through_the_pool(self):
+        code, _, err = run_cli([
+            "private", "--eta", "0.8", "--alpha-q", "1", "--site", "sender",
+            "--theta", "1.0", "--grid-start", "1000", "--grid-stop", "1001",
+            "--grid-step", "1", "--parallel", "2",
+        ])
+        assert code == 3
+        assert "cutoff" in err

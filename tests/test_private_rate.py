@@ -7,10 +7,12 @@ eavesdropper can beat χ), and against a from-scratch Fock route that
 bypasses the covariance-whitening shortcut.
 """
 
+import importlib
 import math
 
 import numpy as np
 import pytest
+
 
 from srbosonic.errors import DomainError
 from srbosonic.fock import (
@@ -40,6 +42,9 @@ from srbosonic.threshold import (
     build_channel,
     mutual_information,
 )
+
+# the package re-exports the function private_rate under the module's name
+private_rate_module = importlib.import_module("srbosonic.private_rate")
 
 VACUUM_COV = [[0.5, 0.0], [0.0, 0.5]]
 
@@ -296,3 +301,54 @@ class TestConjectureProbe:
         grid = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
         for r in conjecture_probe(s, [0.0, 0.3, 0.6], grid):
             assert not r.nonmonotonic
+
+
+class TestSharedChi:
+    def test_probe_chi_calls_independent_of_theta_count(self, monkeypatch):
+        chi_calls, golden_evals = [], []
+        original_chi = private_rate_module.holevo_chi
+        original_golden = private_rate_module.golden_max
+
+        def counted_chi(e):
+            chi_calls.append(e)
+            return original_chi(e)
+
+        def counted_golden(f, lo, hi, **kwargs):
+            def g(x):
+                golden_evals.append(x)
+                return f(x)
+
+            # the probe evaluates the refined point once more after the search
+            golden_evals.append(None)
+            return original_golden(g, lo, hi, **kwargs)
+
+        monkeypatch.setattr(private_rate_module, "holevo_chi", counted_chi)
+        monkeypatch.setattr(private_rate_module, "golden_max", counted_golden)
+        s = PrivateScenario(base=fig_base(), theta=0.0)
+        grid = [0.25 * k for k in range(9)]
+        for thetas in ([0.0], [0.0, 1.0, 2.0, 2.5]):
+            chi_calls.clear()
+            golden_evals.clear()
+            conjecture_probe(s, thetas, grid)
+            assert golden_evals
+            assert len(chi_calls) == len(grid) + len(golden_evals)
+
+    def test_rate_helper_matches_private_rate(self):
+        s = PrivateScenario(base=fig_base(), theta=0.7)
+        sigmas = [0.0, 0.5, 1.0]
+        chis = private_rate_module._chi_by_sigma(s, sigmas)
+        for sig, chi in zip(sigmas, chis):
+            value = private_rate_module._rate(s.base, s.theta, sig * sig, chi)
+            assert value == private_rate(s, sig * sig)
+
+    def test_receiver_site_shares_one_chi(self):
+        s = PrivateScenario(base=fig_base(site=SITE_RECEIVER), theta=0.0)
+        seen = []
+
+        def record(fn, xs):
+            seen.append(list(xs))
+            return [fn(x) for x in xs]
+
+        chis = private_rate_module._chi_by_sigma(s, [0.0, 0.5, 1.0], record)
+        assert seen == [[0.0]]
+        assert chis == [holevo_chi(eve_ensemble(s, 0.0))] * 3

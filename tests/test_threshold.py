@@ -1,7 +1,9 @@
 """Tests for the threshold-decoding engine."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,3 +239,44 @@ class TestValidation:
     def test_orientation_constants(self):
         assert ORIENT_ABOVE == "above"
         assert ORIENT_BELOW == "below"
+
+
+def one_shot_mc_estimate(spec, n, seed):
+    # the single-draw form of the estimator, kept as the reference stream
+    rng = np.random.Generator(np.random.Philox(seed))
+    is_one = rng.random(n) >= spec.prior0
+    noise = rng.standard_normal(n)
+    outcome = np.where(
+        is_one,
+        spec.mean1 + math.sqrt(spec.var1) * noise,
+        spec.mean0 + math.sqrt(spec.var0) * noise,
+    )
+    if spec.orientation == ORIENT_ABOVE:
+        decoded_one = outcome >= spec.theta
+    else:
+        decoded_one = outcome <= spec.theta
+    return float(np.mean(decoded_one == is_one))
+
+
+class TestMonteCarloBlocks:
+    @pytest.mark.parametrize("n", [1, 65535, 65536, 65537, 200003])
+    @pytest.mark.parametrize("orientation", [ORIENT_ABOVE, ORIENT_BELOW])
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_blocks_match_one_shot_draw(self, n, orientation, seed):
+        spec = BinaryThresholdSpec(
+            -0.9, 0.9, 0.7, 0.9, theta=0.1, prior0=0.3, orientation=orientation
+        )
+        est = mc_success_probability(spec, n, seed)
+        assert est.estimate == one_shot_mc_estimate(spec, n, seed)
+
+    def test_peak_memory_is_bounded(self):
+        # numpy reports its buffers to tracemalloc; one n-sized float
+        # array alone is 8 MB at n = 10**6
+        spec = lossy_spec(theta=0.2, prior0=0.4)
+        tracemalloc.start()
+        try:
+            mc_success_probability(spec, 10**6, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
