@@ -272,43 +272,10 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-_BLAS_THREAD_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
-
-
-def _single_thread_blas() -> None:
-    """Pool initializer: one OpenBLAS thread per worker process.
-
-    Workers already split the cores between them; a multithreaded BLAS
-    in each would oversubscribe them.  numpy's own extension module
-    resolves the OpenBLAS it links, so the setter is looked up there.
-    If none is found (another BLAS, another numpy layout), nothing is set.
-    """
-    import ctypes
-    import importlib
-
-    try:
-        umath = importlib.import_module("numpy._core._multiarray_umath")
-        lib = ctypes.CDLL(umath.__file__)
-    except (ImportError, AttributeError, OSError):
-        return
-    for name in _BLAS_THREAD_SETTERS:
-        setter = getattr(lib, name, None)
-        if setter is not None:
-            setter.argtypes = [ctypes.c_int]
-            setter.restype = None
-            setter(1)
-            return
-
-
 def _map_values(fn, xs, parallel: int) -> list:
     if parallel <= 1 or len(xs) <= 1:
         return [fn(x) for x in xs]
-    with ProcessPoolExecutor(max_workers=parallel, initializer=_single_thread_blas) as pool:
+    with ProcessPoolExecutor(max_workers=parallel) as pool:
         return list(pool.map(fn, xs))
 
 
@@ -376,14 +343,10 @@ def _theta_series(cfg: dict, point_fn, *args):
 
 
 def _run_private(cfg: dict):
-    """χ once per distinct σ_E² (pooled), then the cheap I(A:B) − χ rows."""
+    """Serial χ per distinct σ_E² (cheaper than a worker start), then I(A:B) − χ rows."""
     base = _classical_scenario(cfg)
     grid = cfg["grid"]
-    chis = _chi_by_sigma(
-        PrivateScenario(base=base, theta=cfg["theta"][0]),
-        grid,
-        partial(_map_values, parallel=cfg["parallel"]),
-    )
+    chis = _chi_by_sigma(PrivateScenario(base=base, theta=cfg["theta"][0]), grid)
     series = [
         (
             f"theta={_fmt(theta)}",

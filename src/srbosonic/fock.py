@@ -316,37 +316,28 @@ def gaussian_to_fock(g: GaussianStateOneMode, dim: int) -> FockDensity:
     return FockDensity(dim, rho)
 
 
-def _grow_cutoff(build, dim: int) -> tuple[FockDensity, float]:
-    """build(dim) at a cutoff grown 25% at a time until its entropy settles.
-
-    Settled means one further 25% step moved the entropy by at most
-    ENTROPY_TOL; the larger build and its entropy are returned.  Cutoffs
-    at which build raises CutoffError are skipped over and restart the
-    comparison.  No settled pair at or below MAX_CUTOFF is a CutoffError.
-    """
-    prev = None
-    while dim <= MAX_CUTOFF:
-        try:
-            rho = build(dim)
-        except CutoffError:
-            prev = None
-        else:
-            entropy = von_neumann_entropy(rho)
-            if prev is not None and abs(entropy - prev) <= ENTROPY_TOL:
-                return rho, entropy
-            prev = entropy
-        dim = int(math.ceil(dim * CUTOFF_GROWTH))
-    raise CutoffError(f"entropy did not settle to {ENTROPY_TOL:g} at any cutoff <= {MAX_CUTOFF}")
-
-
 def converged_fock_density(g: GaussianStateOneMode) -> FockDensity:
     """gaussian_to_fock at a cutoff grown 25% at a time until the entropy settles.
 
     Convergence means one further 25% step moves the entropy by at most
     1e-6; the larger build is returned.  Cutoffs that fail the internal
-    moment or tail guards are skipped over.
+    moment or tail guards are skipped over and restart the comparison.
+    No settled pair at or below MAX_CUTOFF is a CutoffError.
     """
-    return _grow_cutoff(lambda dim: gaussian_to_fock(g, dim), suggest_cutoff(g))[0]
+    dim = suggest_cutoff(g)
+    prev = None
+    while dim <= MAX_CUTOFF:
+        try:
+            rho = gaussian_to_fock(g, dim)
+        except CutoffError:
+            prev = None
+        else:
+            entropy = von_neumann_entropy(rho)
+            if prev is not None and abs(entropy - prev) <= ENTROPY_TOL:
+                return rho
+            prev = entropy
+        dim = int(math.ceil(dim * CUTOFF_GROWTH))
+    raise CutoffError(f"entropy did not settle to {ENTROPY_TOL:g} at any cutoff <= {MAX_CUTOFF}")
 
 
 def von_neumann_entropy(rho: FockDensity) -> float:

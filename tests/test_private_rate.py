@@ -4,22 +4,29 @@ The Holevo computation is checked against the two-pure-state Gram
 oracle (mixture eigenvalues (1 ± |overlap|)/2, so χ = H₂ of one of
 them), against an information-theoretic upper bound (no threshold
 eavesdropper can beat χ), and against a from-scratch Fock route that
-bypasses the covariance-whitening shortcut.
+bypasses the Gram-matrix shortcut.  The displacement matrix elements of
+that shortcut are checked against the exact Cahill–Glauber form, and
+its thermal truncation against the stated entropy bound.
 """
 
 import importlib
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 
-from srbosonic.errors import DomainError
+from srbosonic.errors import CutoffError, DomainError
 from srbosonic.fock import (
+    MAX_CUTOFF,
     FockDensity,
     GaussianStateOneMode,
+    displacement_op,
     gaussian_entropy,
     gaussian_to_fock,
+    symplectic_eigenvalue,
     von_neumann_entropy,
 )
 from srbosonic.private_rate import (
@@ -203,21 +210,30 @@ class TestHolevoChi:
 
     def test_whitening_agrees_with_direct_route(self):
         # correlated covariance exercises the rotation; the direct route
-        # synthesizes the mixture without the whitening shortcut
+        # synthesizes the mixture in the Fock engine at a fixed cutoff,
+        # without the whitening that the Gram route does implicitly
         cov = [[0.9, 0.2], [0.2, 0.7]]
-        e = EveEnsemble(
+        correlated = EveEnsemble(
             state0=GaussianStateOneMode((-0.4, 0.1), cov),
             state1=GaussianStateOneMode((0.4, -0.1), cov),
             prior0=0.4,
         )
-        chi = holevo_chi(e)
-        dim = 90
-        rho0 = gaussian_to_fock(e.state0, dim)
-        rho1 = gaussian_to_fock(e.state1, dim)
-        mix = FockDensity(dim, 0.4 * rho0.entries + 0.6 * rho1.entries)
-        direct = von_neumann_entropy(mix)
-        direct -= 0.4 * gaussian_entropy(e.state0) + 0.6 * gaussian_entropy(e.state1)
-        assert abs(chi - direct) <= 1e-6
+
+        def hard(p0):
+            # large displacement and squeezing, where a column recurrence
+            # for the displacement matrix elements collapses to chi = 0
+            base = fig_base(eta=0.3, alpha_q=5.0, r=1.0, prior0=p0)
+            return eve_ensemble(PrivateScenario(base=base, theta=0.0), 9.0)
+
+        for e, dim in [(correlated, 90), (hard(0.3), 160), (hard(0.05), 160)]:
+            p0 = e.prior0
+            chi = holevo_chi(e)
+            rho0 = gaussian_to_fock(e.state0, dim)
+            rho1 = gaussian_to_fock(e.state1, dim)
+            mix = FockDensity(dim, p0 * rho0.entries + (1.0 - p0) * rho1.entries)
+            direct = von_neumann_entropy(mix)
+            direct -= p0 * gaussian_entropy(e.state0) + (1.0 - p0) * gaussian_entropy(e.state1)
+            assert abs(chi - direct) <= 1e-6
 
 
 class TestPrivateRate:
@@ -352,3 +368,95 @@ class TestSharedChi:
         chis = private_rate_module._chi_by_sigma(s, [0.0, 0.5, 1.0], record)
         assert seen == [[0.0]]
         assert chis == [holevo_chi(eve_ensemble(s, 0.0))] * 3
+
+
+def cahill_glauber(m, n, x):
+    """<m|D(sqrt x)|n> from the finite Laguerre sum, exact until the last rounding.
+
+    The sum runs in rationals (no cancellation) and the prefactor
+    e^{-x/2} x^{j/2} sqrt(k!/(k+j)!) in 60-digit decimals, whose exponent
+    range holds e^{-x/2} long after a double underflows.
+    """
+    j, k = abs(m - n), min(m, n)
+    xf = Fraction(x)
+    lag = sum(
+        Fraction((-1) ** i * math.comb(k + j, k - i)) * xf**i / math.factorial(i)
+        for i in range(k + 1)
+    )
+    with localcontext() as ctx:
+        ctx.prec = 60
+        xd = Decimal(x)
+        value = (-xd / 2).exp() * xd.sqrt() ** j
+        value *= (Decimal(math.factorial(k)) / Decimal(math.factorial(k + j))).sqrt()
+        value *= Decimal(lag.numerator) / Decimal(lag.denominator)
+    sign = -1.0 if m < n and j % 2 else 1.0
+    return sign * float(value)
+
+
+def tail_bound(tail, nu, prior0):
+    """The truncation bound stated in _mixture_entropy: h(eps) + eps (h(p0) + g(nu))."""
+    g = gaussian_entropy(GaussianStateOneMode((0.0, 0.0), [[nu, 0.0], [0.0, nu]]))
+    return h2(tail) + tail * (h2(prior0) + g)
+
+
+class TestGramRoute:
+    @pytest.mark.parametrize("gamma", [0.7, 2.0, 5.6])
+    def test_diagonal_recurrence_matches_laguerre_sum(self, gamma):
+        x = gamma * gamma
+        block = private_rate_module._displacement_block(x, 16)
+        for m in range(16):
+            for n in range(16):
+                assert abs(block[m, n] - cahill_glauber(m, n, x)) <= 1e-13
+
+    @pytest.mark.parametrize("gamma", [0.7, 2.0, 5.6])
+    def test_diagonal_recurrence_matches_fock_engine(self, gamma):
+        block = private_rate_module._displacement_block(gamma * gamma, 60)
+        reference = displacement_op(gamma, 400).entries[:60, :60]
+        assert np.max(np.abs(block - reference)) <= 1e-12
+
+    def test_underflowing_start_is_not_zero(self):
+        # at x = 1600 the diagonal starts with j < 40 lie below the double
+        # range (e^-800 at j = 0), yet past n = x/4 those diagonals hold
+        # elements of order 0.03
+        x, dim = 1600.0, 500
+        block = private_rate_module._displacement_block(x, dim)
+        for m, n in [(499, 499), (450, 430), (430, 450), (480, 300), (100, 90)]:
+            want = cahill_glauber(m, n, x)
+            assert abs(block[m, n] - want) <= 1e-12
+        assert abs(block[499, 499]) > 1e-3
+        assert abs(block[450, 430]) > 1e-3
+
+    @pytest.mark.parametrize(
+        "overrides, sigma2",
+        [({}, 9.0), (dict(eta=0.3, alpha_q=5.0, r=1.0, prior0=0.3), 9.0),
+         (dict(eta=0.3, alpha_q=5.0, r=1.0, prior0=0.05), 1.0)],
+    )
+    def test_doubling_the_cutoff_stays_within_the_bound(self, overrides, sigma2):
+        e = eve_ensemble(PrivateScenario(base=fig_base(**overrides), theta=0.0), sigma2)
+        nu = symplectic_eigenvalue(e.state0)
+        q = (nu - 0.5) / (nu + 0.5)
+        dq = e.state1.mean[0] - e.state0.mean[0]
+        x = e.state0.cov[1, 1] * dq * dq / (2.0 * nu)
+        for dim in (4, 8, 16):
+            coarse = private_rate_module._gram_entropy(nu, e.prior0, x, dim)
+            fine = private_rate_module._gram_entropy(nu, e.prior0, x, 2 * dim)
+            bound = tail_bound(q**dim, nu, e.prior0) + tail_bound(q ** (2 * dim), nu, e.prior0)
+            assert abs(coarse - fine) <= bound
+
+    def test_stated_bound_at_the_largest_cutoff(self):
+        # the n-bar at which a 1e-12 tail needs exactly MAX_CUTOFF levels
+        nbar = 1.0 / (1e-12 ** (-1.0 / MAX_CUTOFF) - 1.0)
+        assert tail_bound(1e-12, nbar + 0.5, 0.5) <= 5.2e-11
+
+    def test_cutoff_error_before_any_matrix(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("eigvalsh reached")
+
+        monkeypatch.setattr(private_rate_module.np.linalg, "eigvalsh", refuse)
+        e = eve_ensemble(PrivateScenario(base=fig_base(), theta=0.0), 1e6)
+        with pytest.raises(CutoffError) as info:
+            holevo_chi(e)
+        message = str(info.value)
+        assert "cutoff" in message
+        assert str(MAX_CUTOFF) in message
+        assert "n̄ = 223" in message
