@@ -12,8 +12,13 @@ unknown config key), 3 numeric failure (solver or cutoff error; the
 message carries the failing operation and its residual or limit).
 
 A config file holds flat ``key = value`` lines (``#`` comments allowed)
-using the long flag names; command-line flags override file values.  The
-SRBOSONIC_PARALLEL environment variable sets the default worker count.
+using the long flag names; command-line flags override file values.
+
+Only ``mc-check`` (10^6 samples per point by default) fans its points out
+to worker processes; ``--parallel`` or, failing that, the
+SRBOSONIC_PARALLEL environment variable sets its worker count.  Every
+other command runs serially: a point costs microseconds (a χ about a
+millisecond), less than starting a worker and shipping it the job.
 """
 
 from __future__ import annotations
@@ -234,6 +239,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         cfg["parallel"] = _parse_int(env) if env else 1
     if cfg["parallel"] < 1:
         raise ConfigError(f"parallel must be >= 1, got {cfg['parallel']}")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
 
     needs_grid = command in _GRID_COMMANDS
     if command == "interval":
@@ -272,38 +279,8 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _map_values(fn, xs, parallel: int) -> list:
-    if parallel <= 1 or len(xs) <= 1:
-        return [fn(x) for x in xs]
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
-        return list(pool.map(fn, xs))
-
-
-# module-level evaluators so ProcessPoolExecutor can pickle them
-def _point_sweep(scenario: ClassicalScenario, theta: float, sigma: float) -> float:
-    return success_classical(scenario, theta, sigma * sigma)
-
-
-def _point_discriminate(scenario: DiscriminationScenario, theta: float, sigma: float) -> float:
-    return success_discrimination(scenario, theta, sigma * sigma)
-
-
-def _point_fidelity(x0: float, theta: float, sigma: float) -> float:
-    return average_fidelity(QuantumCommParams(x0=x0, theta=theta, sigma2=sigma * sigma))
-
-
-def _point_negativity(x0: float, theta: float, sigma: float) -> float:
-    return log_negativity(choi_state(QuantumCommParams(x0=x0, theta=theta, sigma2=sigma * sigma)))
-
-
-def _point_interval_vary(kwargs: tuple, field: str, value: float) -> tuple:
-    params = dict(kwargs)
-    params[field] = value
-    result = forbidden_interval_classical(ClassicalScenario(**params))
-    return result.lo, result.hi, result.residual_lo, result.residual_hi
-
-
 def _point_mc(scenario: ClassicalScenario, theta: float, n: int, job: tuple) -> tuple:
+    # module level so ProcessPoolExecutor can pickle it
     sigma, seed = job
     sigma2 = sigma * sigma
     analytic = success_classical(scenario, theta, sigma2)
@@ -321,40 +298,45 @@ def _classical_scenario(cfg: dict) -> ClassicalScenario:
     )
 
 
-def _call(fn, args: tuple):
-    return fn(*args)
-
-
-def _theta_series(cfg: dict, point_fn, *args):
-    """One series per θ of point_fn(*args, theta, sigma) over the σ grid.
-
-    All (θ, σ) points go through one ``_map_values`` call, so a parallel
-    run starts one pool per command.
-    """
-    thetas, grid = cfg["theta"], cfg["grid"]
-    jobs = [(theta, sigma) for theta in thetas for sigma in grid]
-    values = _map_values(partial(_call, partial(point_fn, *args)), jobs, cfg["parallel"])
-    width = len(grid)
-    series = [
-        (f"theta={_fmt(theta)}", values[index * width : (index + 1) * width])
-        for index, theta in enumerate(thetas)
-    ]
-    return "sigma", grid, series
-
-
-def _run_private(cfg: dict):
-    """Serial χ per distinct σ_E² (cheaper than a worker start), then I(A:B) − χ rows."""
-    base = _classical_scenario(cfg)
+def _theta_series(cfg: dict, point):
+    """One series per θ of point(theta, sigma) over the σ grid."""
     grid = cfg["grid"]
-    chis = _chi_by_sigma(PrivateScenario(base=base, theta=cfg["theta"][0]), grid)
     series = [
-        (
-            f"theta={_fmt(theta)}",
-            [_rate(base, theta, sigma * sigma, chi) for sigma, chi in zip(grid, chis)],
-        )
+        (f"theta={_fmt(theta)}", [point(theta, sigma) for sigma in grid])
         for theta in cfg["theta"]
     ]
     return "sigma", grid, series
+
+
+def _run_sweep(cfg: dict):
+    scenario = _classical_scenario(cfg)
+    return _theta_series(
+        cfg, lambda theta, sigma: success_classical(scenario, theta, sigma * sigma)
+    )
+
+
+def _quantum_params(cfg: dict, theta: float, sigma: float) -> QuantumCommParams:
+    return QuantumCommParams(x0=cfg["x0"], theta=theta, sigma2=sigma * sigma)
+
+
+def _run_private(cfg: dict):
+    """χ once per distinct σ_E², shared by every θ's I(A:B) − χ series."""
+    base = _classical_scenario(cfg)
+    grid = cfg["grid"]
+    chis = _chi_by_sigma(PrivateScenario(base=base, theta=cfg["theta"][0]), grid)
+    chi_at = dict(zip(grid, chis))
+    return _theta_series(
+        cfg, lambda theta, sigma: _rate(base, theta, sigma * sigma, chi_at[sigma])
+    )
+
+
+_INTERVAL_NAMES = ("theta_minus", "theta_plus", "residual_minus", "residual_plus")
+
+
+def _interval_series(results) -> list:
+    """θ± and their residuals as four series, one value per solve."""
+    rows = [(r.lo, r.hi, r.residual_lo, r.residual_hi) for r in results]
+    return [(name, [row[i] for row in rows]) for i, name in enumerate(_INTERVAL_NAMES)]
 
 
 def _run_interval(cfg: dict):
@@ -365,19 +347,15 @@ def _run_interval(cfg: dict):
         "prior0": cfg["prior0"],
         "noise_site": cfg["site"],
     }
-    names = ("theta_minus", "theta_plus", "residual_minus", "residual_plus")
     if cfg["vary"] is None:
         result = forbidden_interval_classical(ClassicalScenario(**base))
-        row = (result.lo, result.hi, result.residual_lo, result.residual_hi)
-        return None, None, [(name, [value]) for name, value in zip(names, row)]
+        return None, None, _interval_series([result])
     field = {"r": "r", "alpha-q": "alpha_q"}[cfg["vary"]]
-    rows = _map_values(
-        partial(_point_interval_vary, tuple(base.items()), field),
-        cfg["grid"],
-        cfg["parallel"],
-    )
-    series = [(name, [row[i] for row in rows]) for i, name in enumerate(names)]
-    return field, cfg["grid"], series
+    results = [
+        forbidden_interval_classical(ClassicalScenario(**{**base, field: value}))
+        for value in cfg["grid"]
+    ]
+    return field, cfg["grid"], _interval_series(results)
 
 
 def _run_rectangle(cfg: dict):
@@ -420,11 +398,10 @@ def _discrimination_scenario(cfg: dict) -> DiscriminationScenario:
 def _run_discriminate(cfg: dict):
     scenario = _discrimination_scenario(cfg)
     if cfg["interval"]:
-        result = forbidden_interval_discrimination(scenario)
-        names = ("theta_minus", "theta_plus", "residual_minus", "residual_plus")
-        row = (result.lo, result.hi, result.residual_lo, result.residual_hi)
-        return None, None, [(name, [value]) for name, value in zip(names, row)]
-    return _theta_series(cfg, _point_discriminate, scenario)
+        return None, None, _interval_series([forbidden_interval_discrimination(scenario)])
+    return _theta_series(
+        cfg, lambda theta, sigma: success_discrimination(scenario, theta, sigma * sigma)
+    )
 
 
 def _run_probe(cfg: dict):
@@ -440,23 +417,30 @@ def _run_probe(cfg: dict):
 
 
 def _run_mc_check(cfg: dict):
-    scenario = _classical_scenario(cfg)
+    point = partial(_point_mc, _classical_scenario(cfg), cfg["theta"], cfg["n"])
     jobs = [(sigma, cfg["seed"] + index) for index, sigma in enumerate(cfg["grid"])]
-    rows = _map_values(
-        partial(_point_mc, scenario, cfg["theta"], cfg["n"]), jobs, cfg["parallel"]
-    )
+    if cfg["parallel"] > 1 and len(jobs) > 1:
+        # a fork-started pool launches every worker up front
+        with ProcessPoolExecutor(max_workers=min(cfg["parallel"], len(jobs))) as pool:
+            rows = list(pool.map(point, jobs))
+    else:
+        rows = [point(job) for job in jobs]
     names = ("analytic", "estimate", "std_error")
     series = [(name, [row[i] for row in rows]) for i, name in enumerate(names)]
     return "sigma", cfg["grid"], series
 
 
 _RUNNERS = {
-    "sweep": lambda cfg: _theta_series(cfg, _point_sweep, _classical_scenario(cfg)),
+    "sweep": _run_sweep,
     "interval": _run_interval,
     "rectangle": _run_rectangle,
     "discriminate": _run_discriminate,
-    "fidelity": lambda cfg: _theta_series(cfg, _point_fidelity, cfg["x0"]),
-    "negativity": lambda cfg: _theta_series(cfg, _point_negativity, cfg["x0"]),
+    "fidelity": lambda cfg: _theta_series(
+        cfg, lambda theta, sigma: average_fidelity(_quantum_params(cfg, theta, sigma))
+    ),
+    "negativity": lambda cfg: _theta_series(
+        cfg, lambda theta, sigma: log_negativity(choi_state(_quantum_params(cfg, theta, sigma)))
+    ),
     "private": _run_private,
     "probe-conjecture": _run_probe,
     "mc-check": _run_mc_check,
@@ -543,8 +527,12 @@ def main(argv=None) -> int:
     if cfg["out"] is None:
         sys.stdout.write(text)
     else:
-        with open(cfg["out"], "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(cfg["out"], "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {cfg['out']}: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -238,17 +237,15 @@ def _eve_chi(s: PrivateScenario, sigma_e2: float) -> float:
     return holevo_chi(eve_ensemble(s, sigma_e2))
 
 
-def _chi_by_sigma(s: PrivateScenario, sigmas, map_fn=map) -> list:
+def _chi_by_sigma(s: PrivateScenario, sigmas) -> list:
     """χ at each σ of the grid, one ``holevo_chi`` per distinct σ_E².
 
     σ_E² is σ² at the sender site and 0 at the receiver site, where the
-    whole grid shares a single χ.  ``map_fn(fn, xs)`` evaluates fn over
-    the distinct σ_E² values in grid order.
+    whole grid shares a single χ.
     """
     sender = s.base.noise_site == SITE_SENDER
     keys = [sig * sig if sender else 0.0 for sig in sigmas]
-    distinct = list(dict.fromkeys(keys))
-    chi_by_key = dict(zip(distinct, map_fn(partial(_eve_chi, s), distinct)))
+    chi_by_key = {key: _eve_chi(s, key) for key in dict.fromkeys(keys)}
     return [chi_by_key[key] for key in keys]
 
 

@@ -18,6 +18,7 @@ import sys
 import pytest
 
 import srbosonic
+from srbosonic import cli
 from srbosonic.cli import format_csv, format_json, main
 from srbosonic.private_rate import PrivateScenario, private_rate
 from srbosonic.qubit import QuantumCommParams, average_fidelity, choi_state, log_negativity
@@ -289,8 +290,15 @@ class TestMcCheck:
 
     def test_different_seed_changes_estimates(self):
         _, first, _ = run_cli(self.ARGS)
-        _, second, _ = run_cli(self.ARGS[:-7] + ["--seed", "43"] + self.ARGS[-6:])
+        code, second, _ = run_cli(self.with_seed("43"))
+        assert code == 0
         assert first != second
+
+    @classmethod
+    def with_seed(cls, seed):
+        args = list(cls.ARGS)
+        args[args.index("--seed") + 1] = seed
+        return args
 
 
 class TestConfigFile:
@@ -433,6 +441,18 @@ class TestOutputPlumbing:
     def test_parallel_zero_rejected(self):
         code, _, _ = run_cli(SWEEP_ARGS + ["--parallel", "0"])
         assert code == 2
+
+    def test_negative_seed_rejected(self):
+        code, _, err = run_cli(TestMcCheck.with_seed("-5"))
+        assert code == 2
+        assert "seed must be >= 0, got -5" in err
+
+    def test_unwritable_out_rejected(self, tmp_path):
+        path = tmp_path / "missing" / "sweep.csv"
+        code, out, err = run_cli(SWEEP_ARGS + ["--out", str(path)])
+        assert code == 2
+        assert out == ""
+        assert f"cannot write {path}" in err
 
 
 class TestImportFootprint:
@@ -584,3 +604,54 @@ class TestPrivateParallel:
         ])
         assert code == 3
         assert "cutoff" in err
+
+
+class TestPoolPolicy:
+    """Only mc-check starts worker processes; --parallel changes no byte."""
+
+    SERIAL_COMMANDS = [
+        SWEEP_ARGS,
+        ["interval", "--eta", "0.8", "--alpha-q", "1", "--vary", "r",
+         "--grid-start", "0", "--grid-stop", "1", "--grid-step", "0.25"],
+        TestDiscriminate.ARGS + ["--theta", "2.0", "--grid-start", "0", "--grid-stop", "1",
+                                 "--grid-step", "0.5"],
+        ["fidelity", "--x0", "0.3", "--theta", "0.25,0.31",
+         "--grid-start", "0", "--grid-stop", "0.4", "--grid-step", "0.2"],
+        ["negativity", "--x0", "0.3", "--theta", "0.25,0.35",
+         "--grid-start", "0", "--grid-stop", "0.4", "--grid-step", "0.2"],
+        PRIVATE_ARGS + ["--site", "sender"],
+        ["probe-conjecture", "--eta", "0.8", "--alpha-q", "1", "--theta", "0.0,1.0",
+         "--grid-start", "0", "--grid-stop", "1", "--grid-step", "0.25"],
+    ]
+
+    @pytest.mark.parametrize("argv", SERIAL_COMMANDS, ids=lambda argv: argv[0])
+    def test_closed_form_commands_start_no_pool(self, argv, monkeypatch):
+        code, serial, _ = run_cli(argv + ["--parallel", "1"])
+        assert code == 0
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("process pool started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+        code, fanned, _ = run_cli(argv + ["--parallel", "2"])
+        assert code == 0
+        assert fanned == serial
+
+    # three grid points: no more workers than points
+    @pytest.mark.parametrize("parallel, workers", [("2", 2), ("8", 3)])
+    def test_mc_check_starts_one_pool(self, parallel, workers, monkeypatch):
+        code, serial, _ = run_cli(TestMcCheck.ARGS + ["--parallel", "1"])
+        assert code == 0
+        pools = []
+
+        class CountingPool(cli.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+        code, fanned, _ = run_cli(TestMcCheck.ARGS + ["--parallel", parallel])
+        assert code == 0
+        assert pools == [workers]
+        assert fanned == serial

@@ -357,17 +357,23 @@ class TestSharedChi:
             value = private_rate_module._rate(s.base, s.theta, sig * sig, chi)
             assert value == private_rate(s, sig * sig)
 
-    def test_receiver_site_shares_one_chi(self):
+    def test_receiver_site_shares_one_chi(self, monkeypatch):
         s = PrivateScenario(base=fig_base(site=SITE_RECEIVER), theta=0.0)
         seen = []
 
-        def record(fn, xs):
-            seen.append(list(xs))
-            return [fn(x) for x in xs]
+        def counted(e):
+            seen.append(e)
+            return holevo_chi(e)
 
-        chis = private_rate_module._chi_by_sigma(s, [0.0, 0.5, 1.0], record)
-        assert seen == [[0.0]]
-        assert chis == [holevo_chi(eve_ensemble(s, 0.0))] * 3
+        monkeypatch.setattr(private_rate_module, "holevo_chi", counted)
+        chis = private_rate_module._chi_by_sigma(s, [0.0, 0.5, 1.0])
+        # the one χ is taken on the eavesdropper's noiseless (σ_E² = 0) ensemble
+        noiseless = eve_ensemble(PrivateScenario(base=fig_base(), theta=0.0), 0.0)
+        assert len(seen) == 1
+        for got, want in ((seen[0].state0, noiseless.state0), (seen[0].state1, noiseless.state1)):
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.cov, want.cov)
+        assert chis == [holevo_chi(noiseless)] * 3
 
 
 def cahill_glauber(m, n, x):
