@@ -6,154 +6,17 @@ schemes and their forbidden-interval solvers), ``qubit`` (the encoded
 qubit channel: fidelity and entanglement), ``fock`` (truncated
 number-basis numerics for Gaussian states), ``private_rate`` (Holevo
 leakage and the private-rate probe), ``cli`` (the ``srbosonic`` command).
+
+Every name in a layer's ``__all__`` (and in ``errors``) is re-exported
+here; ``srbosonic.private_rate`` is therefore the function, not the module.
 """
 
-from .errors import CutoffError, DomainError, NoCriticalPointError, SolverError
-from .fock import (
-    MAX_CUTOFF,
-    FockDensity,
-    FockOperator,
-    GaussianStateOneMode,
-    converged_fock_density,
-    displacement_op,
-    gaussian_entropy,
-    gaussian_to_fock,
-    ladder,
-    squeeze_op,
-    suggest_cutoff,
-    symplectic_eigenvalue,
-    thermal_state,
-    von_neumann_entropy,
-)
-from .private_rate import (
-    EveEnsemble,
-    PrivateScenario,
-    RateProbeResult,
-    conjecture_probe,
-    eve_ensemble,
-    holevo_chi,
-    private_rate,
-)
-from .qubit import (
-    QuantumCommParams,
-    apply_channel,
-    average_fidelity,
-    choi_state,
-    critical_sigma2_quantum,
-    haar_fidelity_oracle,
-    log_negativity,
-    pi_probs,
-)
-from .rootfind import bisect, golden_max
-from .schemes import (
-    SITE_RECEIVER,
-    SITE_SENDER,
-    ClassicalScenario,
-    DiscriminationScenario,
-    EAScenario,
-    ForbiddenInterval,
-    ForbiddenRectangle,
-    SweepSeries,
-    classical_channel,
-    classical_total_variance,
-    critical_sigma2_classical,
-    critical_sigma2_discrimination,
-    ea_total_variance,
-    forbidden_interval_classical,
-    forbidden_interval_discrimination,
-    forbidden_rectangle,
-    success_classical,
-    success_discrimination,
-    success_ea,
-    sweep_success,
-)
-from .threshold import (
-    ORIENT_ABOVE,
-    ORIENT_BELOW,
-    BinaryThresholdSpec,
-    McEstimate,
-    ThresholdChannel,
-    build_channel,
-    gauss_tail,
-    mc_success_probability,
-    mutual_information,
-    success_probability,
-)
+from . import errors, fock, private_rate, qubit, rootfind, schemes, threshold
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "DomainError",
-    "NoCriticalPointError",
-    "SolverError",
-    "CutoffError",
-    # threshold channels
-    "BinaryThresholdSpec",
-    "ThresholdChannel",
-    "McEstimate",
-    "ORIENT_ABOVE",
-    "ORIENT_BELOW",
-    "gauss_tail",
-    "build_channel",
-    "success_probability",
-    "mutual_information",
-    "mc_success_probability",
-    # root finding
-    "bisect",
-    "golden_max",
-    # transmission schemes
-    "SITE_SENDER",
-    "SITE_RECEIVER",
-    "ClassicalScenario",
-    "EAScenario",
-    "DiscriminationScenario",
-    "ForbiddenInterval",
-    "ForbiddenRectangle",
-    "SweepSeries",
-    "classical_total_variance",
-    "classical_channel",
-    "success_classical",
-    "critical_sigma2_classical",
-    "forbidden_interval_classical",
-    "ea_total_variance",
-    "success_ea",
-    "forbidden_rectangle",
-    "success_discrimination",
-    "critical_sigma2_discrimination",
-    "forbidden_interval_discrimination",
-    "sweep_success",
-    # encoded qubit channel
-    "QuantumCommParams",
-    "pi_probs",
-    "apply_channel",
-    "average_fidelity",
-    "critical_sigma2_quantum",
-    "choi_state",
-    "log_negativity",
-    "haar_fidelity_oracle",
-    # Fock-space numerics
-    "FockOperator",
-    "FockDensity",
-    "GaussianStateOneMode",
-    "ladder",
-    "displacement_op",
-    "squeeze_op",
-    "thermal_state",
-    "symplectic_eigenvalue",
-    "suggest_cutoff",
-    "gaussian_to_fock",
-    "converged_fock_density",
-    "von_neumann_entropy",
-    "gaussian_entropy",
-    "MAX_CUTOFF",
-    # private rate
-    "PrivateScenario",
-    "EveEnsemble",
-    "RateProbeResult",
-    "eve_ensemble",
-    "holevo_chi",
-    "private_rate",
-    "conjecture_probe",
-]
+__all__ = ["__version__"]
+for _module in (errors, threshold, rootfind, schemes, qubit, fock, private_rate):
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+    __all__ += _module.__all__
+del _module

@@ -8,8 +8,9 @@ produce byte-identical files and emitted files re-emit to themselves
 after parsing.
 
 Exit codes: 0 success, 2 invalid configuration (bad flag, bad value,
-unknown config key), 3 numeric failure (solver or cutoff error; the
-message carries the failing operation and its residual or limit).
+unknown config key, a grid or sample count above its ceiling), 3 numeric
+failure (solver or cutoff error; the message carries the failing
+operation and its residual or limit).
 
 A config file holds flat ``key = value`` lines (``#`` comments allowed)
 using the long flag names; command-line flags override file values.
@@ -49,6 +50,12 @@ from .schemes import (
 from .threshold import mc_success_probability
 
 ENV_PARALLEL = "SRBOSONIC_PARALLEL"
+
+# Request ceilings, checked before anything is allocated.  The densest
+# benchmark grid has 3001 points; mc-check's default is 10^6 samples, and
+# 10^8 already take about 0.9 GB at the first draw.
+_MAX_GRID_POINTS = 10**6
+_MAX_MC_SAMPLES = 10**8
 
 
 class ConfigError(Exception):
@@ -241,6 +248,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise ConfigError(f"parallel must be >= 1, got {cfg['parallel']}")
     if cfg["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
+    if command == "mc-check" and cfg["n"] > _MAX_MC_SAMPLES:
+        raise ConfigError(f"n must be <= {_MAX_MC_SAMPLES}, got {cfg['n']}")
 
     needs_grid = command in _GRID_COMMANDS
     if command == "interval":
@@ -271,7 +280,14 @@ def _build_grid(start: float, stop: float, step: float) -> tuple:
         raise ConfigError(f"grid-start must be below grid-stop, got {start} >= {stop}")
     if not (step > 0.0):
         raise ConfigError(f"grid-step must be positive, got {step}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9
+    # also catches an infinite quotient, which int() cannot take
+    if not steps < _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid-step {step} from {start} to {stop} gives more than "
+            f"{_MAX_GRID_POINTS} grid points"
+        )
+    count = int(math.floor(steps)) + 1
     return tuple(start + index * step for index in range(count))
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoCriticalPointError
+from .errors import DomainError, NoCriticalPointError, _finite, _nonnegative, _store
 from .threshold import McEstimate
 
 __all__ = [
@@ -58,14 +58,10 @@ class QuantumCommParams:
     sigma2: float
 
     def __post_init__(self) -> None:
-        for name in ("x0", "theta", "sigma2"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v!r}")
+        _store(self, _finite, "x0", "theta")
         if self.x0 <= 0.0:
             raise DomainError(f"x0 must be positive, got {self.x0!r}")
-        if self.sigma2 < 0.0:
-            raise DomainError(f"sigma2 must be >= 0, got {self.sigma2!r}")
+        _store(self, _nonnegative, "sigma2")
 
 
 def _step(x: float) -> float:
@@ -91,14 +87,19 @@ def pi_probs(p: QuantumCommParams) -> tuple:
     return pi_less, pi_greater
 
 
+def _hermitian(matrix: np.ndarray, dim: int, what: str, tol: float) -> np.ndarray:
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape != (dim, dim):
+        raise DomainError(f"{what} must be {dim}x{dim}, got shape {m.shape}")
+    if not np.all(np.isfinite(m.view(float))):
+        raise DomainError(f"{what} entries must be finite")
+    if np.max(np.abs(m - m.conj().T)) > tol:
+        raise DomainError(f"{what} must be Hermitian")
+    return m
+
+
 def _validate_qubit(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise DomainError(f"qubit state must be 2x2, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.view(float))):
-        raise DomainError("qubit state entries must be finite")
-    if np.max(np.abs(rho - rho.conj().T)) > _HERM_TOL:
-        raise DomainError("qubit state must be Hermitian")
+    rho = _hermitian(rho, 2, "qubit state", _HERM_TOL)
     if abs(rho[0, 0].real + rho[1, 1].real - 1.0) > _HERM_TOL:
         raise DomainError("qubit state must have unit trace")
     if np.linalg.eigvalsh(rho).min() < -_EIG_TOL:
@@ -179,13 +180,7 @@ def log_negativity(choi: np.ndarray) -> float:
     eigensolve.  The result is clamped at 0, attained exactly when the
     partial transpose is positive semidefinite.
     """
-    c = np.asarray(choi, dtype=complex)
-    if c.shape != (4, 4):
-        raise DomainError(f"Choi state must be 4x4, got shape {c.shape}")
-    if not np.all(np.isfinite(c.view(float))):
-        raise DomainError("Choi state entries must be finite")
-    if np.max(np.abs(c - c.conj().T)) > 1e-10:
-        raise DomainError("Choi state must be Hermitian")
+    c = _hermitian(choi, 4, "Choi state", 1e-10)
     pt = c.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     off = pt - np.diag(np.diag(pt)) - np.fliplr(np.diag(np.diag(np.fliplr(pt))))
     if np.max(np.abs(off)) < 1e-14:

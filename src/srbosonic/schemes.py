@@ -64,15 +64,24 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence, Union
 
-from .errors import DomainError, NoCriticalPointError, SolverError
+from .errors import (
+    DomainError,
+    NoCriticalPointError,
+    SolverError,
+    _finite,
+    _nonnegative,
+    _prior,
+    _sigma_grid,
+    _store,
+)
 from .rootfind import bisect, golden_max
 from .threshold import (
     ORIENT_ABOVE,
     ORIENT_BELOW,
     BinaryThresholdSpec,
     ThresholdChannel,
-    build_channel,
-    success_probability,
+    _channel_probs,
+    _success,
 )
 
 __all__ = [
@@ -113,20 +122,15 @@ SWEEP_MARGIN = 1e-12
 _THETA_WIDTH_TOL = 1e-6  # theta bracket width for onset-sign bisection
 
 
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-
-
-def _check_prior(name: str, value: float) -> None:
-    _check_finite(name, value)
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
-
-
 def _check_site(site: str) -> None:
     if site not in _SITES:
         raise DomainError(f"noise_site must be one of {_SITES}, got {site!r}")
+
+
+def _check_eta(s) -> None:
+    _store(s, _finite, "eta")
+    if not 0.0 < s.eta <= 1.0:
+        raise DomainError(f"eta must lie in (0, 1], got {s.eta!r}")
 
 
 @dataclass(frozen=True)
@@ -150,16 +154,9 @@ class ClassicalScenario:
     noise_site: str = SITE_RECEIVER
 
     def __post_init__(self) -> None:
-        _check_finite("eta", self.eta)
-        if not 0.0 < self.eta <= 1.0:
-            raise DomainError(f"eta must lie in (0, 1], got {self.eta!r}")
-        _check_finite("alpha_q", self.alpha_q)
-        if self.alpha_q < 0.0:
-            raise DomainError(f"alpha_q must be >= 0, got {self.alpha_q!r}")
-        _check_finite("r", self.r)
-        if self.r < 0.0:
-            raise DomainError(f"r must be >= 0, got {self.r!r}")
-        _check_prior("prior0", self.prior0)
+        _check_eta(self)
+        _store(self, _nonnegative, "alpha_q", "r")
+        _store(self, _prior, "prior0")
         _check_site(self.noise_site)
 
 
@@ -184,21 +181,10 @@ class EAScenario:
     noise_site: str = SITE_RECEIVER
 
     def __post_init__(self) -> None:
-        _check_finite("eta", self.eta)
-        if not 0.0 < self.eta <= 1.0:
-            raise DomainError(f"eta must lie in (0, 1], got {self.eta!r}")
-        _check_finite("r", self.r)
-        if self.r < 0.0:
-            raise DomainError(f"r must be >= 0, got {self.r!r}")
-        _check_prior("prior_q", self.prior_q)
-        _check_prior("prior_p", self.prior_p)
-        for name in ("alpha_q", "alpha_p"):
-            v = getattr(self, name)
-            _check_finite(name, v)
-            if v < 0.0:
-                raise DomainError(f"{name} must be >= 0, got {v!r}")
-        _check_finite("theta_q", self.theta_q)
-        _check_finite("theta_p", self.theta_p)
+        _check_eta(self)
+        _store(self, _nonnegative, "r", "alpha_q", "alpha_p")
+        _store(self, _prior, "prior_q", "prior_p")
+        _store(self, _finite, "theta_q", "theta_p")
         _check_site(self.noise_site)
 
 
@@ -220,22 +206,16 @@ class DiscriminationScenario:
     noise_site: str = SITE_RECEIVER
 
     def __post_init__(self) -> None:
-        for name in ("eta0", "eta1"):
-            v = getattr(self, name)
-            _check_finite(name, v)
-            if not 0.0 < v < 1.0:
-                raise DomainError(f"{name} must lie in (0, 1), got {v!r}")
+        _store(self, _finite, "eta0", "eta1")
+        for name, eta in (("eta0", self.eta0), ("eta1", self.eta1)):
+            if not 0.0 < eta < 1.0:
+                raise DomainError(f"{name} must lie in (0, 1), got {eta!r}")
         if not self.eta0 > self.eta1:
             raise DomainError(
                 f"eta0 must exceed eta1, got eta0={self.eta0!r}, eta1={self.eta1!r}"
             )
-        _check_finite("alpha_q", self.alpha_q)
-        if self.alpha_q < 0.0:
-            raise DomainError(f"alpha_q must be >= 0, got {self.alpha_q!r}")
-        _check_finite("r", self.r)
-        if self.r < 0.0:
-            raise DomainError(f"r must be >= 0, got {self.r!r}")
-        _check_prior("prior0", self.prior0)
+        _store(self, _nonnegative, "alpha_q", "r")
+        _store(self, _prior, "prior0")
         _check_site(self.noise_site)
 
 
@@ -307,10 +287,9 @@ def _noise_floor_ea(eta: float, r: float) -> float:
     return (1.0 - eta) + (1.0 + eta) * math.exp(-2.0 * r)
 
 
-def _effective_sigma2(sigma2: float, eta: float, site: str) -> float:
-    if sigma2 < 0.0:
-        raise DomainError(f"sigma2 must be >= 0, got {sigma2!r}")
-    return eta * sigma2 if site == SITE_SENDER else sigma2
+def _total_variance(floor: float, eta: float, site: str, sigma2: float) -> float:
+    # sender-side noise is attenuated by the line, receiver-side is not
+    return 0.5 * (floor + (eta * sigma2 if site == SITE_SENDER else sigma2))
 
 
 def classical_total_variance(s: ClassicalScenario, sigma2: float) -> float:
@@ -320,60 +299,46 @@ def classical_total_variance(s: ClassicalScenario, sigma2: float) -> float:
     is attenuated by the line, sigma_eff^2 = eta sigma^2, and receiver-side
     noise enters unattenuated.
     """
-    eff = _effective_sigma2(sigma2, s.eta, s.noise_site)
-    return 0.5 * (_noise_floor_classical(s.eta, s.r) + eff)
+    floor = _noise_floor_classical(s.eta, s.r)
+    return _total_variance(floor, s.eta, s.noise_site, _nonnegative("sigma2", sigma2))
 
 
 def ea_total_variance(s: EAScenario, sigma2: float) -> float:
     """Per-quadrature total variance in the two-quadrature scheme."""
-    eff = _effective_sigma2(sigma2, s.eta, s.noise_site)
-    return 0.5 * (_noise_floor_ea(s.eta, s.r) + eff)
+    floor = _noise_floor_ea(s.eta, s.r)
+    return _total_variance(floor, s.eta, s.noise_site, _nonnegative("sigma2", sigma2))
 
 
 # ---------------------------------------------------------------------------
-# Success probabilities
+# Success probabilities: each checks only its own theta and sigma2, then
+# runs on plain floats through threshold._channel_probs.
 
 
-def _symmetric_spec(
-    m: float, variance: float, theta: float, prior0: float
-) -> BinaryThresholdSpec:
+def _symmetric_probs(m: float, variance: float, theta: float) -> tuple:
     # Levels -+m with one shared variance; bit 1 is declared at or above theta.
-    return BinaryThresholdSpec(
-        mean0=-m,
-        mean1=+m,
-        var0=variance,
-        var1=variance,
-        theta=theta,
-        prior0=prior0,
-        orientation=ORIENT_ABOVE,
-    )
+    return _channel_probs(-m, variance, +m, variance, theta, ORIENT_ABOVE)
 
 
-def _classical_spec(
-    s: ClassicalScenario, theta: float, sigma2: float
-) -> BinaryThresholdSpec:
-    _check_finite("theta", theta)
-    m = math.sqrt(s.eta) * s.alpha_q
-    return _symmetric_spec(m, classical_total_variance(s, sigma2), theta, s.prior0)
+def _classical_point(s: ClassicalScenario, theta: float, sigma2: float) -> tuple:
+    # (m, variance, theta) of one checked point of the classical curve
+    theta = _finite("theta", theta)
+    return math.sqrt(s.eta) * s.alpha_q, classical_total_variance(s, sigma2), theta
 
 
-def classical_channel(
-    s: ClassicalScenario, theta: float, sigma2: float
-) -> ThresholdChannel:
+def _classical_spec(s: ClassicalScenario, theta: float, sigma2: float) -> BinaryThresholdSpec:
+    # the same channel as a spec, for the Monte Carlo check
+    m, variance, theta = _classical_point(s, theta, sigma2)
+    return BinaryThresholdSpec(-m, +m, variance, variance, theta, s.prior0, ORIENT_ABOVE)
+
+
+def classical_channel(s: ClassicalScenario, theta: float, sigma2: float) -> ThresholdChannel:
     """Induced binary channel of the classical scheme at one noise level."""
-    return build_channel(_classical_spec(s, theta, sigma2))
+    return ThresholdChannel(*_symmetric_probs(*_classical_point(s, theta, sigma2)))
 
 
 def success_classical(s: ClassicalScenario, theta: float, sigma2: float) -> float:
     """Success probability of the classical scheme."""
-    return success_probability(classical_channel(s, theta, sigma2), s.prior0)
-
-
-def _ea_quadrature_success(
-    m: float, prior: float, theta: float, variance: float
-) -> float:
-    spec = _symmetric_spec(m, variance, theta, prior)
-    return success_probability(build_channel(spec), prior)
+    return _success(s.prior0, *_symmetric_probs(*_classical_point(s, theta, sigma2)))
 
 
 def success_ea(s: EAScenario, sigma2_q: float, sigma2_p: float) -> float:
@@ -384,12 +349,12 @@ def success_ea(s: EAScenario, sigma2_q: float, sigma2_p: float) -> float:
     its own threshold, prior, amplitude, and noise variance.
     """
     root_eta = math.sqrt(s.eta)
-    ps_q = _ea_quadrature_success(
-        root_eta * s.alpha_q, s.prior_q, s.theta_q, ea_total_variance(s, sigma2_q)
-    )
-    ps_p = _ea_quadrature_success(
-        root_eta * s.alpha_p, s.prior_p, s.theta_p, ea_total_variance(s, sigma2_p)
-    )
+    ps_q = _success(s.prior_q, *_symmetric_probs(
+        root_eta * s.alpha_q, ea_total_variance(s, sigma2_q), s.theta_q
+    ))
+    ps_p = _success(s.prior_p, *_symmetric_probs(
+        root_eta * s.alpha_p, ea_total_variance(s, sigma2_p), s.theta_p
+    ))
     return ps_q * ps_p
 
 
@@ -398,9 +363,8 @@ def _discrimination_levels(s: DiscriminationScenario) -> tuple:
 
 
 def _discrimination_variances(s: DiscriminationScenario, sigma2: float) -> tuple:
-    site = s.noise_site
     return tuple(
-        0.5 * (_noise_floor_classical(eta, s.r) + _effective_sigma2(sigma2, eta, site))
+        _total_variance(_noise_floor_classical(eta, s.r), eta, s.noise_site, sigma2)
         for eta in (s.eta0, s.eta1)
     )
 
@@ -415,30 +379,23 @@ def success_discrimination(
     own attenuation of the added noise).  Hypothesis 1 is declared when the
     outcome falls at or below the threshold.
     """
-    _check_finite("theta", theta)
+    theta = _finite("theta", theta)
     a0, a1 = _discrimination_levels(s)
-    v0, v1 = _discrimination_variances(s, sigma2)
-    spec = BinaryThresholdSpec(
-        mean0=a0,
-        mean1=a1,
-        var0=v0,
-        var1=v1,
-        theta=theta,
-        prior0=s.prior0,
-        orientation=ORIENT_BELOW,
-    )
-    return success_probability(build_channel(spec), s.prior0)
+    v0, v1 = _discrimination_variances(s, _nonnegative("sigma2", sigma2))
+    return _success(s.prior0, *_channel_probs(a0, v0, a1, v1, theta, ORIENT_BELOW))
 
 
 # ---------------------------------------------------------------------------
 # Critical noise variances (closed forms)
 
 
-def _check_solvable_prior(prior0: float) -> None:
+def _check_solvable(prior0: float, amplitude: float, what: str) -> None:
     if prior0 in (0.0, 1.0):
         raise NoCriticalPointError(
             "degenerate prior: success probability has no interior optimum in sigma^2"
         )
+    if amplitude == 0.0:
+        raise NoCriticalPointError(f"zero signal amplitude: no {what}")
 
 
 def _log_ratio(num: float, den: float) -> float:
@@ -466,11 +423,9 @@ def critical_sigma2_classical(s: ClassicalScenario, theta: float) -> float:
     physical range.  Thresholds at or between the signal levels admit no
     stationary point at all and raise NoCriticalPointError.
     """
-    _check_finite("theta", theta)
-    _check_solvable_prior(s.prior0)
+    theta = _finite("theta", theta)
     m = math.sqrt(s.eta) * s.alpha_q
-    if m == 0.0:
-        raise NoCriticalPointError("zero signal amplitude: no critical noise level")
+    _check_solvable(s.prior0, m, "critical noise level")
     log_ratio = _log_ratio(s.prior0 * (theta + m), (1.0 - s.prior0) * (theta - m))
     k = _noise_floor_classical(s.eta, s.r)
     value = 4.0 * m * theta / log_ratio - k
@@ -498,10 +453,8 @@ def critical_sigma2_discrimination(s: DiscriminationScenario, theta: float) -> f
     in sigma^2 and return -1.0 when the exact onset sign says the curve does
     not rise at 0+.
     """
-    _check_finite("theta", theta)
-    _check_solvable_prior(s.prior0)
-    if s.alpha_q == 0.0:
-        raise NoCriticalPointError("zero signal amplitude: no critical noise level")
+    theta = _finite("theta", theta)
+    _check_solvable(s.prior0, s.alpha_q, "critical noise level")
     if s.r > 0.0 or s.noise_site == SITE_SENDER:
         if _onset_sign(s, theta) <= 0.0:
             return -1.0
@@ -639,9 +592,7 @@ def _symmetric_upper_root(m: float, k: float, prior0: float, u_cap: float) -> tu
 def _symmetric_interval(
     m: float, k: float, prior0: float, alpha: float
 ) -> ForbiddenInterval:
-    _check_solvable_prior(prior0)
-    if m == 0.0:
-        raise NoCriticalPointError("zero signal amplitude: no forbidden interval")
+    _check_solvable(prior0, m, "forbidden interval")
     u_cap = math.log(1e6 * max(alpha, 1.0))
     hi, res_hi = _symmetric_upper_root(m, k, prior0, u_cap)
     # Mirror symmetry: the lower boundary at prior w is the negated upper
@@ -733,9 +684,7 @@ def forbidden_interval_discrimination(s: DiscriminationScenario) -> ForbiddenInt
     sender-site scenarios bisect the exact sign of d P_s / d sigma^2 at
     sigma^2 = 0+ over theta to width 1e-6 (reported in the residual fields).
     """
-    _check_solvable_prior(s.prior0)
-    if s.alpha_q == 0.0:
-        raise NoCriticalPointError("zero signal amplitude: no forbidden interval")
+    _check_solvable(s.prior0, s.alpha_q, "forbidden interval")
     if s.r > 0.0 or s.noise_site == SITE_SENDER:
         return _interval_by_onset_sign(s)
     u_cap = math.log(1e6 * max(s.alpha_q, 1.0))
@@ -764,14 +713,7 @@ def sweep_success(
     nonmonotonic flag records whether any grid point beats the first one by
     more than SWEEP_MARGIN.
     """
-    sigmas = [float(x) for x in sigma_grid]
-    if not sigmas:
-        raise DomainError("sigma_grid must be non-empty")
-    for x in sigmas:
-        if not math.isfinite(x) or x < 0.0:
-            raise DomainError(f"sigma_grid entries must be finite and >= 0, got {x!r}")
-    if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
-        raise DomainError("sigma_grid must be strictly increasing")
+    sigmas = _sigma_grid(sigma_grid)
 
     if isinstance(scenario, EAScenario):
         if theta is not None:
@@ -792,4 +734,4 @@ def sweep_success(
         raise DomainError(f"unsupported scenario type: {type(scenario).__name__}")
 
     flag = (max(values) - values[0]) > SWEEP_MARGIN
-    return SweepSeries(sigmas=tuple(sigmas), values=tuple(values), nonmonotonic=flag)
+    return SweepSeries(sigmas=sigmas, values=tuple(values), nonmonotonic=flag)

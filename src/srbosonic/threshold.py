@@ -11,6 +11,11 @@ check of the analytic expressions.
 All variances here are *total* variances of the measured outcome.  Scheme
 composition (loss, squeezing, where the noise is injected) happens in
 :mod:`srbosonic.schemes`; this module is deliberately agnostic about it.
+
+``BinaryThresholdSpec`` checks its fields once, at construction.  The core
+below it, ``_channel_probs``, maps plain floats to (p00, p11), checking only
+that both variances are positive; it holds the one orientation rule, for
+``build_channel`` and the schemes' per-point success functions alike.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _finite, _prior, _store
 
 __all__ = [
     "ORIENT_ABOVE",
@@ -74,14 +79,10 @@ class BinaryThresholdSpec:
     orientation: str = ORIENT_ABOVE
 
     def __post_init__(self) -> None:
-        for name in ("mean0", "mean1", "var0", "var1", "theta", "prior0"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite, got {v!r}")
+        _store(self, _finite, "mean0", "mean1", "var0", "var1", "theta")
         if self.var0 < 0 or self.var1 < 0:
             raise DomainError("noise variances must be non-negative")
-        if not 0.0 <= self.prior0 <= 1.0:
-            raise DomainError(f"prior0 must lie in [0, 1], got {self.prior0!r}")
+        _store(self, _prior, "prior0")
         if self.orientation not in _ORIENTATIONS:
             raise DomainError(
                 f"orientation must be one of {_ORIENTATIONS}, got {self.orientation!r}"
@@ -127,6 +128,22 @@ def gauss_tail(x: float, mean: float, var: float) -> float:
     return 0.5 * math.erfc((x - mean) / math.sqrt(2.0 * var))
 
 
+def _channel_probs(
+    mean0: float, var0: float, mean1: float, var1: float, theta: float, orientation: str
+) -> tuple:
+    # Y = 1 at or above theta for "above", at or below it for "below"
+    if var0 <= 0.0 or var1 <= 0.0:
+        raise DomainError(
+            "build_channel requires strictly positive variances; "
+            "evaluate zero-noise limits explicitly in the calling scheme"
+        )
+    tail0 = gauss_tail(theta, mean0, var0)
+    tail1 = gauss_tail(theta, mean1, var1)
+    if orientation == ORIENT_ABOVE:
+        return 1.0 - tail0, tail1
+    return tail0, 1.0 - tail1
+
+
 def build_channel(spec: BinaryThresholdSpec) -> ThresholdChannel:
     """Induced binary channel of a threshold-decoded Gaussian transmission.
 
@@ -136,23 +153,18 @@ def build_channel(spec: BinaryThresholdSpec) -> ThresholdChannel:
     inequalities.  The boundary outcome has probability zero, so strict
     versus non-strict comparison does not matter analytically.
     """
-    if spec.var0 == 0 or spec.var1 == 0:
-        raise DomainError(
-            "build_channel requires strictly positive variances; "
-            "evaluate zero-noise limits explicitly in the calling scheme"
-        )
-    tail0 = gauss_tail(spec.theta, spec.mean0, spec.var0)
-    tail1 = gauss_tail(spec.theta, spec.mean1, spec.var1)
-    if spec.orientation == ORIENT_ABOVE:
-        return ThresholdChannel(p00=1.0 - tail0, p11=tail1)
-    return ThresholdChannel(p00=tail0, p11=1.0 - tail1)
+    return ThresholdChannel(*_channel_probs(
+        spec.mean0, spec.var0, spec.mean1, spec.var1, spec.theta, spec.orientation
+    ))
+
+
+def _success(prior0: float, p00: float, p11: float) -> float:
+    return prior0 * p00 + (1.0 - prior0) * p11
 
 
 def success_probability(ch: ThresholdChannel, prior0: float) -> float:
     """Probability of correct decoding: prior0*p00 + (1-prior0)*p11."""
-    if not 0.0 <= prior0 <= 1.0:
-        raise DomainError(f"prior0 must lie in [0, 1], got {prior0!r}")
-    return prior0 * ch.p00 + (1.0 - prior0) * ch.p11
+    return _success(_prior("prior0", prior0), ch.p00, ch.p11)
 
 
 def _plogp(p: float) -> float:
@@ -171,8 +183,7 @@ def mutual_information(ch: ThresholdChannel, prior0: float) -> float:
 
     Standard discrete form I = H(Y) - H(Y|X) with the given input prior.
     """
-    if not 0.0 <= prior0 <= 1.0:
-        raise DomainError(f"prior0 must lie in [0, 1], got {prior0!r}")
+    prior0 = _prior("prior0", prior0)
     py0 = prior0 * ch.p00 + (1.0 - prior0) * (1.0 - ch.p11)
     hy = _h2(py0)
     hy_given_x = prior0 * _h2(ch.p00) + (1.0 - prior0) * _h2(ch.p11)

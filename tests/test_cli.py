@@ -405,6 +405,47 @@ class TestExitCodes:
         assert "private failed" in err
         assert "cutoff" in err
 
+    def test_chi_beyond_the_gram_limit_maps_to_3(self):
+        # sigma = 200 and 201 need thermal cutoffs 1236 and 1242: inside the
+        # Fock engine's MAX_CUTOFF, beyond the Gram route's own limit of
+        # 1024; the largest sigma is tried first
+        code, out, err = run_cli([
+            "private", "--eta", "0.8", "--alpha-q", "1", "--site", "sender",
+            "--theta", "1.0",
+            "--grid-start", "200", "--grid-stop", "201", "--grid-step", "1",
+        ])
+        assert code == 3
+        assert out == ""
+        assert "thermal cutoff 1242" in err
+        assert "limit 1024" in err
+
+    @pytest.mark.parametrize("step", ["1e-320", "1e-300"])
+    def test_oversize_grid_rejected_before_building(self, step):
+        # 1e-320 overflowed the point count; 1e-300 asks for 3e300 points
+        argv = list(SWEEP_ARGS)
+        argv[argv.index("--grid-stop") + 1] = "3"
+        argv[argv.index("--grid-step") + 1] = step
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "more than 1000000 grid points" in err
+
+    def test_grid_point_ceiling_is_inclusive(self):
+        limit = cli._MAX_GRID_POINTS
+        assert len(cli._build_grid(0.0, limit - 1.0, 1.0)) == limit
+        with pytest.raises(cli.ConfigError, match="grid points"):
+            cli._build_grid(0.0, float(limit), 1.0)
+
+    @pytest.mark.parametrize("n", ["100000000000000", "100000001"])
+    def test_oversize_sample_count_rejected(self, n):
+        argv = list(TestMcCheck.ARGS)
+        argv[argv.index("--n") + 1] = n
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: n must be <= 100000000, got {n}\n"
+
 
 class TestOutputPlumbing:
     def test_out_file_matches_stdout(self, tmp_path):

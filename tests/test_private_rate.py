@@ -466,3 +466,29 @@ class TestGramRoute:
         assert "cutoff" in message
         assert str(MAX_CUTOFF) in message
         assert "n̄ = 223" in message
+
+    def test_gram_limit_below_max_cutoff(self, monkeypatch):
+        # sigma = 200 needs K = 1236 <= MAX_CUTOFF, past the Gram route's limit
+        def refuse(*_):
+            raise AssertionError("Gram matrix built")
+
+        monkeypatch.setattr(private_rate_module, "_gram_entropy", refuse)
+        monkeypatch.setattr(private_rate_module.np.linalg, "eigvalsh", refuse)
+        e = eve_ensemble(PrivateScenario(base=fig_base(), theta=0.0), 200.0**2)
+        with pytest.raises(CutoffError) as info:
+            holevo_chi(e)
+        message = str(info.value)
+        assert private_rate_module._GRAM_MAX_CUTOFF < 1236 <= MAX_CUTOFF
+        assert "thermal cutoff 1236" in message
+        assert "n̄ = 44.22" in message
+        assert f"limit {private_rate_module._GRAM_MAX_CUTOFF}" in message
+
+    def test_grid_past_the_gram_limit_fails_before_any_chi(self, monkeypatch):
+        # sigma 170 needs K = 1051; sigma 100 alone would be a 0.4 s chi
+        def refuse(*_):
+            raise AssertionError("a chi below the limit was computed first")
+
+        monkeypatch.setattr(private_rate_module, "_gram_entropy", refuse)
+        s = PrivateScenario(base=fig_base(), theta=0.0)
+        with pytest.raises(CutoffError, match="limit"):
+            private_rate_module._chi_by_sigma(s, [100.0, 170.0])
