@@ -17,9 +17,10 @@ using the long flag names; command-line flags override file values.
 
 Only ``mc-check`` (10^6 samples per point by default) fans its points out
 to worker processes; ``--parallel`` or, failing that, the
-SRBOSONIC_PARALLEL environment variable sets its worker count.  Every
-other command runs serially: a point costs microseconds (a χ about a
-millisecond), less than starting a worker and shipping it the job.
+SRBOSONIC_PARALLEL environment variable sets its worker count, which never
+exceeds the grid points or the CPU cores.  Every other command runs
+serially: a point costs microseconds (a χ about a millisecond), less than
+starting a worker and shipping it the job.
 """
 
 from __future__ import annotations
@@ -356,22 +357,14 @@ def _interval_series(results) -> list:
 
 
 def _run_interval(cfg: dict):
-    base = {
-        "eta": cfg["eta"],
-        "alpha_q": cfg["alpha-q"],
-        "r": cfg["r"],
-        "prior0": cfg["prior0"],
-        "noise_site": cfg["site"],
-    }
     if cfg["vary"] is None:
-        result = forbidden_interval_classical(ClassicalScenario(**base))
+        result = forbidden_interval_classical(_classical_scenario(cfg))
         return None, None, _interval_series([result])
-    field = {"r": "r", "alpha-q": "alpha_q"}[cfg["vary"]]
     results = [
-        forbidden_interval_classical(ClassicalScenario(**{**base, field: value}))
+        forbidden_interval_classical(_classical_scenario({**cfg, cfg["vary"]: value}))
         for value in cfg["grid"]
     ]
-    return field, cfg["grid"], _interval_series(results)
+    return cfg["vary"].replace("-", "_"), cfg["grid"], _interval_series(results)
 
 
 def _run_rectangle(cfg: dict):
@@ -435,9 +428,11 @@ def _run_probe(cfg: dict):
 def _run_mc_check(cfg: dict):
     point = partial(_point_mc, _classical_scenario(cfg), cfg["theta"], cfg["n"])
     jobs = [(sigma, cfg["seed"] + index) for index, sigma in enumerate(cfg["grid"])]
-    if cfg["parallel"] > 1 and len(jobs) > 1:
-        # a fork-started pool launches every worker up front
-        with ProcessPoolExecutor(max_workers=min(cfg["parallel"], len(jobs))) as pool:
+    # a fork-started pool launches every worker up front, so never ask for
+    # more than there are points or cores
+    workers = min(cfg["parallel"], len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(point, jobs))
     else:
         rows = [point(job) for job in jobs]

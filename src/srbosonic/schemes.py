@@ -28,19 +28,30 @@ the sign of
                - [the same terms for hypothesis 1],
 
 taken as is above a0, negated below a1, and -inf between the levels (the
-curve always falls there).  With equal variances (the symmetric schemes,
-and receiver-site discrimination at r = 0) g reduces, up to sign, to the
-closed-form residual h = ln R - 4 m theta / K of sigma*^2 = 4 m theta /
-ln R - K (R = w (theta + m) / ((1 - w) (theta - m)), m the signal level,
-K the noise-floor term, w the prior), or to ln R - B for discrimination.
-These are solved in the log offset u = ln|theta - level|, where they are
-pole-free, monotone and asymptotically linear, and sigma*^2 at the
+curve always falls there).  With one shared noise floor K (each quadrature
+of the symmetric schemes, levels -+m; receiver-site discrimination at
+r = 0, K = 1) the critical variance has the closed form
+
+    sigma*^2 = (a1 - a0) (2 theta - (a0 + a1)) / ln R - K,
+    R = p0 (theta - a0) / (p1 (theta - a1)),
+
+and both boundaries solve one equation.  Beyond the level `near`, with
+the other level `gap` away and theta = near +- t (+ above the upper
+level, - below the lower one), t = e^u,
+
+    h(u) = ln(gap + t) + ln(p_far / p_near) - u - gap (gap + 2 t) / K,
+
+which is pole-free, strictly decreasing and asymptotically linear in u,
+and positive inside the interval.  The log prior ratio is +-(ln p0 -
+log1p(-p0)), so no prior is rounded through 1 - p0.  sigma*^2 at the
 returned root follows from the exact identity sigma*^2 = -K^2 h / (K h +
-4 m theta) (-h / (B + h) for discrimination), which is what the residual
-fields report.  Squeezed or sender-site discrimination has no closed form:
-its interval bisects g itself over theta, and its critical variance is -1.0
-wherever g says the curve does not rise at 0+.  Every boundary walks out
-from its signal level with one bracket-and-bisect helper.
+gap (gap + 2 t)), which is what the residual fields report.
+Discrimination takes gap = alpha (eta0 - eta1) / (sqrt(eta0) +
+sqrt(eta1)), free of the cancellation in a0 - a1.  Squeezed or
+sender-site discrimination has no closed form: its interval bisects g
+itself over theta, and its critical variance is -1.0 wherever g says the
+curve does not rise at 0+.  Every boundary walks out from its signal
+level with one bracket-and-bisect helper.
 
 The residual is limited by conditioning, not by the solver: u is bisected
 to float resolution, and |sigma*^2| at that u grows as the two signal
@@ -362,6 +373,11 @@ def _discrimination_levels(s: DiscriminationScenario) -> tuple:
     return math.sqrt(s.eta0) * s.alpha_q, math.sqrt(s.eta1) * s.alpha_q
 
 
+def _discrimination_gap(s: DiscriminationScenario) -> float:
+    # a0 - a1 without the cancellation of the difference of square roots
+    return s.alpha_q * (s.eta0 - s.eta1) / (math.sqrt(s.eta0) + math.sqrt(s.eta1))
+
+
 def _discrimination_variances(s: DiscriminationScenario, sigma2: float) -> tuple:
     return tuple(
         _total_variance(_noise_floor_classical(eta, s.r), eta, s.noise_site, sigma2)
@@ -398,8 +414,14 @@ def _check_solvable(prior0: float, amplitude: float, what: str) -> None:
         raise NoCriticalPointError(f"zero signal amplitude: no {what}")
 
 
-def _log_ratio(num: float, den: float) -> float:
-    # ln R, R = num / den, of a closed-form stationary condition.
+def _two_level_sigma2(
+    theta: float, l0: float, l1: float, spread: float, prior0: float, k: float
+) -> float:
+    # sigma*^2 = (l1 - l0) (2 theta - (l0 + l1)) / ln R - k, with R = p0 (theta
+    # - l0) / (p1 (theta - l1)), for levels l0 (prior p0) and l1 that share the
+    # noise floor k.  spread = l1 - l0 is passed in, so that discrimination
+    # can use its cancellation-free form.
+    num, den = prior0 * (theta - l0), (1.0 - prior0) * (theta - l1)
     if den == 0.0 or num == 0.0:
         raise NoCriticalPointError("threshold at a signal level")
     ratio = num / den
@@ -410,7 +432,7 @@ def _log_ratio(num: float, den: float) -> float:
     log_ratio = math.log(ratio)
     if log_ratio == 0.0:
         raise NoCriticalPointError("degenerate threshold: log ratio vanishes")
-    return log_ratio
+    return spread * (2.0 * theta - (l0 + l1)) / log_ratio - k
 
 
 def critical_sigma2_classical(s: ClassicalScenario, theta: float) -> float:
@@ -426,19 +448,11 @@ def critical_sigma2_classical(s: ClassicalScenario, theta: float) -> float:
     theta = _finite("theta", theta)
     m = math.sqrt(s.eta) * s.alpha_q
     _check_solvable(s.prior0, m, "critical noise level")
-    log_ratio = _log_ratio(s.prior0 * (theta + m), (1.0 - s.prior0) * (theta - m))
     k = _noise_floor_classical(s.eta, s.r)
-    value = 4.0 * m * theta / log_ratio - k
+    value = _two_level_sigma2(theta, -m, m, 2.0 * m, s.prior0, k)
     if s.noise_site == SITE_SENDER:
         value /= s.eta
     return value
-
-
-def _discrimination_b(s: DiscriminationScenario, theta: float) -> float:
-    # B(theta) of the receiver-site r = 0 stationary condition ln R = B.
-    return s.alpha_q * s.alpha_q * (s.eta0 - s.eta1) - 2.0 * s.alpha_q * theta * (
-        math.sqrt(s.eta0) - math.sqrt(s.eta1)
-    )
 
 
 def critical_sigma2_discrimination(s: DiscriminationScenario, theta: float) -> float:
@@ -462,8 +476,7 @@ def critical_sigma2_discrimination(s: DiscriminationScenario, theta: float) -> f
             lambda sig2: success_discrimination(s, theta, sig2)
         )
     a0, a1 = _discrimination_levels(s)
-    log_ratio = _log_ratio(s.prior0 * (theta - a0), (1.0 - s.prior0) * (theta - a1))
-    return -1.0 + _discrimination_b(s, theta) / log_ratio
+    return _two_level_sigma2(theta, a0, a1, -_discrimination_gap(s), s.prior0, 1.0)
 
 
 def _onset_sign(s: DiscriminationScenario, theta: float) -> float:
@@ -547,60 +560,51 @@ def _bracket_and_bisect(
     return bisect(f, lo, hi, xtol=xtol, maxit=maxit)
 
 
-def _log_offset_root(h: Callable[[float], float], u_cap: float) -> float:
-    # Root of h(u), positive inside the interval and negative beyond it,
-    # over the log offset u from the signal level.
-    u0 = math.log(_OFFSET_START)
-    f0 = h(u0)
-    if f0 == 0.0:
-        return u0
-    bound = u_cap if f0 > 0.0 else _U_FLOOR
-    return _bracket_and_bisect(h, u0, f0, bound, math.log(2.0), xtol=1e-14, maxit=300)
+def _boundary_root(
+    near: float, gap: float, side: int, lpr: float, k: float, alpha: float
+) -> tuple:
+    """Interval boundary theta = near + side e^u beyond one of two signal levels.
 
-
-def _residual(num: float, den: float, level: str) -> float:
-    # |sigma*^2| at a boundary from its exact identity num / den.
-    if den == 0.0:
-        raise SolverError(
-            f"sigma*^2 diverges at the forbidden-interval boundary next to signal "
-            f"level {level}: its residual identity has a zero denominator"
-        )
-    return abs(num / den)
-
-
-def _symmetric_upper_root(m: float, k: float, prior0: float, u_cap: float) -> tuple:
-    """Upper interval boundary for signal levels -+m and noise floor k.
-
-    Solves h(u) = ln(w (theta+m)) - ln((1-w)(theta-m)) - 4 m theta / k = 0
-    with theta = m + e^u.  Returns (theta, |sigma*^2| residual).  When the
-    root lies below float resolution the boundary collapses onto m itself;
-    the residual identity still evaluates (to ~0) and is reported as is.
+    The levels lie gap apart and share the noise floor k; lpr is
+    ln(p_far / p_near).  Solves h(u) = ln(gap + t) + lpr - u - gap (gap +
+    2t) / k = 0 with t = e^u, and returns (theta, |sigma*^2| residual).
+    When the root lies below float resolution the boundary collapses onto
+    near itself; the residual identity still evaluates (to ~0) and is
+    reported as is.
     """
-    lpr = math.log(prior0) - math.log1p(-prior0)
 
     def h(u: float) -> float:
         t = math.exp(u)
-        return math.log(2.0 * m + t) + lpr - u - 4.0 * m * (m + t) / k
+        return math.log(gap + t) + lpr - u - gap * (gap + 2.0 * t) / k
 
-    u_root = _log_offset_root(h, u_cap)
+    # h is positive inside the interval and negative beyond it
+    u_root = math.log(_OFFSET_START)
+    f0 = h(u_root)
+    if f0 != 0.0:
+        bound = math.log(1e6 * max(alpha, 1.0)) if f0 > 0.0 else _U_FLOOR
+        u_root = _bracket_and_bisect(
+            h, u_root, f0, bound, math.log(2.0), xtol=1e-14, maxit=300
+        )
     t = math.exp(u_root)
     h_val = h(u_root)
-    residual = _residual(-k * k * h_val, k * h_val + 4.0 * m * (m + t), f"±{m!r}")
-    return m + t, residual
+    den = k * h_val + gap * (gap + 2.0 * t)
+    if den == 0.0:
+        raise SolverError(
+            f"sigma*^2 diverges at the forbidden-interval boundary next to signal "
+            f"level {near!r}: its residual identity has a zero denominator"
+        )
+    return near + side * t, abs(k * k * h_val / den)
 
 
 def _symmetric_interval(
     m: float, k: float, prior0: float, alpha: float
 ) -> ForbiddenInterval:
+    # Levels -m (prior0) and +m: the far level of the upper boundary is -m.
     _check_solvable(prior0, m, "forbidden interval")
-    u_cap = math.log(1e6 * max(alpha, 1.0))
-    hi, res_hi = _symmetric_upper_root(m, k, prior0, u_cap)
-    # Mirror symmetry: the lower boundary at prior w is the negated upper
-    # boundary at prior 1 - w (exact identity of the stationary condition).
-    lo_mirror, res_lo = _symmetric_upper_root(m, k, 1.0 - prior0, u_cap)
-    return ForbiddenInterval(
-        lo=-lo_mirror, hi=hi, residual_lo=res_lo, residual_hi=res_hi
-    )
+    lpr = math.log(prior0) - math.log1p(-prior0)
+    hi, res_hi = _boundary_root(m, 2.0 * m, +1, lpr, k, alpha)
+    lo, res_lo = _boundary_root(-m, 2.0 * m, -1, -lpr, k, alpha)
+    return ForbiddenInterval(lo=lo, hi=hi, residual_lo=res_lo, residual_hi=res_hi)
 
 
 def forbidden_interval_classical(s: ClassicalScenario) -> ForbiddenInterval:
@@ -635,31 +639,6 @@ def forbidden_rectangle(s: EAScenario) -> ForbiddenRectangle:
     return ForbiddenRectangle(q_interval=q_int, p_interval=p_int)
 
 
-def _discrimination_root(
-    s: DiscriminationScenario, side: int, u_cap: float
-) -> tuple:
-    """Receiver-site r = 0 boundary above a0 (side +1) or below a1 (side -1).
-
-    Solves g(u) = ln(w |theta - a0|) - ln((1-w) |theta - a1|) - B(theta) = 0
-    with theta = a0 + e^u or a1 - e^u.  Returns (theta, |sigma*^2| residual).
-    """
-    a0, a1 = _discrimination_levels(s)
-    level = a0 if side > 0 else a1
-    lpr = math.log(s.prior0) - math.log1p(-s.prior0)
-    gap = a0 - a1
-
-    def g(u: float) -> float:
-        t = math.exp(u)
-        ln_far = math.log(gap + t)
-        ln_d0, ln_d1 = (u, ln_far) if side > 0 else (ln_far, u)
-        return lpr + ln_d0 - ln_d1 - _discrimination_b(s, level + side * t)
-
-    u_root = _log_offset_root(lambda u: -side * g(u), u_cap)
-    theta = level + side * math.exp(u_root)
-    g_val = g(u_root)
-    return theta, _residual(-g_val, _discrimination_b(s, theta) + g_val, repr(level))
-
-
 def _interval_by_onset_sign(s: DiscriminationScenario) -> ForbiddenInterval:
     # No closed form: bisect the exact onset sign over theta on each side.
     a0, a1 = _discrimination_levels(s)
@@ -687,9 +666,13 @@ def forbidden_interval_discrimination(s: DiscriminationScenario) -> ForbiddenInt
     _check_solvable(s.prior0, s.alpha_q, "forbidden interval")
     if s.r > 0.0 or s.noise_site == SITE_SENDER:
         return _interval_by_onset_sign(s)
-    u_cap = math.log(1e6 * max(s.alpha_q, 1.0))
-    hi, res_hi = _discrimination_root(s, +1, u_cap)
-    lo, res_lo = _discrimination_root(s, -1, u_cap)
+    # Levels a0 (prior0) > a1 on the noise floor 1: the far level of the
+    # upper boundary is a1.
+    a0, a1 = _discrimination_levels(s)
+    gap = _discrimination_gap(s)
+    lpr = math.log(s.prior0) - math.log1p(-s.prior0)
+    hi, res_hi = _boundary_root(a0, gap, +1, -lpr, 1.0, s.alpha_q)
+    lo, res_lo = _boundary_root(a1, gap, -1, lpr, 1.0, s.alpha_q)
     return ForbiddenInterval(lo=lo, hi=hi, residual_lo=res_lo, residual_hi=res_hi)
 
 

@@ -12,6 +12,8 @@ import json
 import math
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -679,9 +681,11 @@ class TestPoolPolicy:
         assert code == 0
         assert fanned == serial
 
-    # three grid points: no more workers than points
+    # three grid points: no more workers than points or cores, and no pool
+    # for a single worker
     @pytest.mark.parametrize("parallel, workers", [("2", 2), ("8", 3)])
     def test_mc_check_starts_one_pool(self, parallel, workers, monkeypatch):
+        workers = min(workers, os.cpu_count() or 1)
         code, serial, _ = run_cli(TestMcCheck.ARGS + ["--parallel", "1"])
         assert code == 0
         pools = []
@@ -694,5 +698,60 @@ class TestPoolPolicy:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
         code, fanned, _ = run_cli(TestMcCheck.ARGS + ["--parallel", parallel])
         assert code == 0
-        assert pools == [workers]
+        assert pools == ([workers] if workers > 1 else [])
         assert fanned == serial
+
+    def test_mc_check_workers_capped_at_core_count(self, monkeypatch):
+        # a recording stand-in: the real pool is never started
+        cores = os.cpu_count() or 1
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers=None):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        points = cores + 3
+        code, _, _ = run_cli([
+            "mc-check", "--eta", "0.8", "--alpha-q", "1", "--theta", "0.6", "--n", "100",
+            "--grid-start", "0", "--grid-stop", str(points - 1), "--grid-step", "1",
+            "--parallel", "100000",
+        ])
+        assert code == 0
+        assert pools == ([cores] if cores > 1 else [])
+
+
+def readme_commands():
+    """argv of every ``srbosonic`` command in the README's ``sh`` blocks."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line)
+            if argv and argv[0] == "srbosonic":
+                commands.append(argv[1:])
+    return commands
+
+
+class TestReadmeRecipes:
+    COMMANDS = readme_commands()
+
+    def test_recipes_found(self):
+        assert len(self.COMMANDS) >= 10
+
+    @pytest.mark.parametrize(
+        "argv", COMMANDS, ids=[f"{i}-{argv[0]}" for i, argv in enumerate(COMMANDS)]
+    )
+    def test_recipe_runs(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(argv)
+        assert code == 0, err

@@ -1,10 +1,11 @@
 """Tests for scheme composition and the stochastic-resonance solvers."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from srbosonic.errors import DomainError, NoCriticalPointError, SolverError
@@ -77,6 +78,42 @@ def disc_scenario(**kw):
     base = dict(eta0=0.8, eta1=0.6, alpha_q=1.0, r=0.0, prior0=0.5)
     base.update(kw)
     return DiscriminationScenario(**base)
+
+
+def decimal_boundary(near, gap, side, p_near, k):
+    """Oracle boundary theta = near + side t by a 50-digit bisection of h.
+
+    Two signal levels gap apart share the noise floor k; the far level has
+    prior 1 - p_near.  h(t) = ln((gap + t) p_far / (t p_near)) - gap (gap +
+    2t) / k is positive inside the interval and negative beyond it.  All
+    arguments are Decimals.
+    """
+
+    def h(t):
+        return ((gap + t) * (1 - p_near) / (t * p_near)).ln() - gap * (gap + 2 * t) / k
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lo, hi = Decimal("1e-30"), Decimal(1000)
+        assert h(lo) > 0 > h(hi)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if h(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return near + side * (lo + hi) / 2
+
+
+def assert_matches_oracle(interval, m, k, prior0):
+    # lo sits beyond -m (prior0), hi beyond +m (prior 1 - prior0)
+    p0 = Decimal(prior0)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lo = decimal_boundary(-m, 2 * m, -1, p0, k)
+        hi = decimal_boundary(m, 2 * m, +1, 1 - p0, k)
+        for got, want in ((interval.lo, lo), (interval.hi, hi)):
+            assert abs((Decimal(got) - want) / want) <= Decimal("1e-13"), (got, want)
 
 
 class TestVarianceComposition:
@@ -241,6 +278,20 @@ class TestForbiddenIntervalClassical:
     def test_symmetric_prior_is_exactly_mirrored(self):
         iv = forbidden_interval_classical(fig_scenario())
         assert iv.lo == -iv.hi
+
+    @pytest.mark.parametrize("prior", [1e-9, 1e-12])
+    def test_small_prior_boundaries_match_decimal_oracle(self, prior):
+        # the lower boundary's log prior ratio must not pass through 1 - prior
+        iv = forbidden_interval_classical(fig_scenario(prior0=prior))
+        rect = forbidden_rectangle(ea_scenario(r=0.25, prior_q=prior, prior_p=1.0 - prior))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            eta = Decimal(0.8)
+            m = eta.sqrt()
+            k_ea = 1 - eta + (1 + eta) * Decimal(-0.5).exp()
+        assert_matches_oracle(iv, m, Decimal(1), prior)
+        assert_matches_oracle(rect.q_interval, m, k_ea, prior)
+        assert_matches_oracle(rect.p_interval, m, k_ea, 1.0 - prior)
 
     def test_asymmetric_prior(self):
         iv = forbidden_interval_classical(fig_scenario(prior0=0.7))
@@ -544,6 +595,23 @@ class TestDiscrimination:
             numeric = forbidden_interval_discrimination(disc_scenario(r=1e-9, **kw))
             assert numeric.hi == pytest.approx(closed.hi, abs=1e-5), kw
             assert numeric.lo == pytest.approx(closed.lo, abs=1e-5), kw
+
+    @given(
+        eta0=st.floats(0.02, 0.99),
+        eta1=st.floats(0.01, 0.98),
+        alpha=st.floats(0.01, 30.0),
+        prior0=st.floats(1e-9, 1.0 - 1e-9),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_residual_contract(self, eta0, eta1, alpha, prior0):
+        # Receiver-site, r = 0 levels at least 0.01 apart always solve, with
+        # |sigma*^2| at both boundaries within ROOT_RESIDUAL_TOL.
+        assume(eta0 > eta1 and (math.sqrt(eta0) - math.sqrt(eta1)) * alpha >= 0.01)
+        iv = forbidden_interval_discrimination(
+            DiscriminationScenario(eta0=eta0, eta1=eta1, alpha_q=alpha, prior0=prior0)
+        )
+        assert iv.residual_lo <= ROOT_RESIDUAL_TOL
+        assert iv.residual_hi <= ROOT_RESIDUAL_TOL
 
     def test_root_found_where_doubling_step_passes_search_bound(self):
         s = DiscriminationScenario(eta0=0.9, eta1=0.4, alpha_q=0.003, prior0=1e-7)
