@@ -36,7 +36,7 @@ from functools import partial
 from . import __version__
 from .errors import CutoffError, DomainError, NoCriticalPointError, SolverError
 from .private_rate import PrivateScenario, _chi_by_sigma, _rate, conjecture_probe
-from .qubit import QuantumCommParams, average_fidelity, choi_state, log_negativity
+from .qubit import QuantumCommParams, _cross_log_negativity, average_fidelity, pi_probs
 from .schemes import (
     ClassicalScenario,
     DiscriminationScenario,
@@ -336,6 +336,18 @@ def _quantum_params(cfg: dict, theta: float, sigma: float) -> QuantumCommParams:
     return QuantumCommParams(x0=cfg["x0"], theta=theta, sigma2=sigma * sigma)
 
 
+def _negativity(cfg: dict, theta: float, sigma: float) -> float:
+    """log_negativity(choi_state(p)) without the 4x4 array.
+
+    The two 2x2 blocks of the partial transpose hold the entries that
+    ``choi_state`` writes: its diagonal, and the Bell coherence off it.
+    """
+    pl, pg = pi_probs(_quantum_params(cfg, theta, sigma))
+    return _cross_log_negativity(
+        (0.5 * (1.0 - pl), 0.5 * (1.0 - pg), 0.0), (0.5 * pg, 0.5 * pl, 0.5 * (1.0 - pl - pg))
+    )
+
+
 def _run_private(cfg: dict):
     """χ once per distinct σ_E², shared by every θ's I(A:B) − χ series."""
     base = _classical_scenario(cfg)
@@ -449,9 +461,7 @@ _RUNNERS = {
     "fidelity": lambda cfg: _theta_series(
         cfg, lambda theta, sigma: average_fidelity(_quantum_params(cfg, theta, sigma))
     ),
-    "negativity": lambda cfg: _theta_series(
-        cfg, lambda theta, sigma: log_negativity(choi_state(_quantum_params(cfg, theta, sigma)))
-    ),
+    "negativity": lambda cfg: _theta_series(cfg, partial(_negativity, cfg)),
     "private": _run_private,
     "probe-conjecture": _run_probe,
     "mc-check": _run_mc_check,

@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Integral
+from typing import TYPE_CHECKING
 
 from .errors import CutoffError, DomainError
+
+if TYPE_CHECKING:  # annotations only; numpy loads where it is used
+    import numpy as np
 
 __all__ = [
     "FockOperator",
@@ -53,7 +56,7 @@ MAX_CUTOFF = 4096
 
 
 def _validate_dim(dim) -> int:
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+    if isinstance(dim, bool) or not isinstance(dim, Integral):
         raise DomainError(f"cutoff dimension must be an integer, got {dim!r}")
     dim = int(dim)
     if dim < 2:
@@ -62,6 +65,8 @@ def _validate_dim(dim) -> int:
 
 
 def _square_complex(entries, dim: int, what: str) -> np.ndarray:
+    import numpy as np
+
     arr = np.array(entries, dtype=complex, copy=True)
     if arr.shape != (dim, dim):
         raise DomainError(f"{what} entries must be a {dim}x{dim} matrix, got shape {arr.shape}")
@@ -98,6 +103,8 @@ class FockDensity:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         dim = _validate_dim(self.dim)
         arr = _square_complex(self.entries, dim, "density")
         herm_defect = float(np.max(np.abs(arr - arr.conj().T)))
@@ -127,6 +134,8 @@ class GaussianStateOneMode:
     cov: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         try:
             mean = tuple(float(v) for v in self.mean)
         except (TypeError, ValueError) as exc:
@@ -152,6 +161,8 @@ class GaussianStateOneMode:
 
 
 def _ladder_arrays(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     n = np.arange(1, dim)
     a = np.zeros((dim, dim), dtype=complex)
     a[n - 1, n] = np.sqrt(n)
@@ -166,6 +177,8 @@ def ladder(dim: int) -> tuple[FockOperator, FockOperator]:
 
 
 def _unitary_from_generator(gen: np.ndarray, what: str) -> np.ndarray:
+    import numpy as np
+
     # gen is anti-Hermitian, so 1j*gen is Hermitian with real spectrum lam
     lam, vecs = np.linalg.eigh(1j * gen)
     u = (vecs * np.exp(-1j * lam)) @ vecs.conj().T
@@ -180,12 +193,12 @@ def _unitary_from_generator(gen: np.ndarray, what: str) -> np.ndarray:
 
 def _displacement(beta: complex, a: np.ndarray, adag: np.ndarray) -> np.ndarray:
     """exp(β a† − β* a) on the block spanned by the ladder arrays."""
-    return _unitary_from_generator(beta * adag - np.conjugate(beta) * a, "displacement")
+    return _unitary_from_generator(beta * adag - beta.conjugate() * a, "displacement")
 
 
 def _squeeze(xi: complex, a: np.ndarray, adag: np.ndarray) -> np.ndarray:
     """exp((ξ* a² − ξ a†²)/2) on the block spanned by the ladder arrays."""
-    gen = 0.5 * (np.conjugate(xi) * (a @ a) - xi * (adag @ adag))
+    gen = 0.5 * (xi.conjugate() * (a @ a) - xi * (adag @ adag))
     return _unitary_from_generator(gen, "squeeze")
 
 
@@ -221,6 +234,8 @@ def thermal_state(nbar: float, dim: int) -> FockDensity:
     The discarded tail mass ratio (nbar/(nbar+1))^dim must be at most
     1e-12, else CutoffError; the retained block is renormalized.
     """
+    import numpy as np
+
     dim = _validate_dim(dim)
     nbar = float(nbar)
     if not math.isfinite(nbar) or nbar < 0.0:
@@ -255,6 +270,8 @@ def suggest_cutoff(g: GaussianStateOneMode) -> int:
 
 
 def _moment_defect(rho: np.ndarray, g: GaussianStateOneMode, a: np.ndarray, adag: np.ndarray) -> float:
+    import numpy as np
+
     rt2 = math.sqrt(2.0)
     q = (a + adag) / rt2
     p = -1j * (a - adag) / rt2
@@ -285,6 +302,8 @@ def gaussian_to_fock(g: GaussianStateOneMode, dim: int) -> FockDensity:
     first and second moments within 1e-6 and keep trace deficit within
     1e-8, else CutoffError: the cutoff is too small for this state.
     """
+    import numpy as np
+
     dim = _validate_dim(dim)
     nu = symplectic_eigenvalue(g)
     rho = thermal_state(nu - 0.5, dim).entries
@@ -342,6 +361,8 @@ def converged_fock_density(g: GaussianStateOneMode) -> FockDensity:
 
 def von_neumann_entropy(rho: FockDensity) -> float:
     """−Σ λ log₂ λ over the spectrum, eigenvalues below 1e-14 dropped."""
+    import numpy as np
+
     lam = np.linalg.eigvalsh(rho.entries)
     lam = lam[lam > ENTROPY_CLIP]
     return max(0.0, float(-(lam * np.log2(lam)).sum()))

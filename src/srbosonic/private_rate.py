@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CutoffError, DomainError, _finite, _nonnegative, _prior, _sigma_grid, _store
 from .fock import (
@@ -39,6 +38,9 @@ from .fock import (
 from .rootfind import golden_max
 from .schemes import SITE_SENDER, ClassicalScenario, classical_channel
 from .threshold import mutual_information
+
+if TYPE_CHECKING:  # annotations only; numpy loads where it is used
+    import numpy as np
 
 __all__ = [
     "PrivateScenario",
@@ -86,6 +88,8 @@ class EveEnsemble:
     prior0: float
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         for name in ("state0", "state1"):
             if not isinstance(getattr(self, name), GaussianStateOneMode):
                 raise DomainError(f"{name} must be a GaussianStateOneMode")
@@ -131,6 +135,8 @@ def _displacement_block(x: float, dim: int) -> np.ndarray:
     into log_scale, so a start below the float range (x ≳ 1400) cannot
     zero a diagonal.  (A column recurrence loses all accuracy at |β| ~ 2.)
     """
+    import numpy as np
+
     if x == 0.0:
         return np.eye(dim)
     j = np.arange(dim)
@@ -162,6 +168,8 @@ def _gram_entropy(nu: float, prior0: float, x: float, dim: int) -> float:
     displacement block.  Gates (else CutoffError): spectrum ≥ −1e-10 and
     within 1e-12 of Σ w_k in sum.
     """
+    import numpy as np
+
     nbar = nu - 0.5
     weights = (nbar / (nbar + 1.0)) ** np.arange(dim) / (nbar + 1.0)
     root = np.sqrt(weights)
@@ -192,6 +200,8 @@ def _mixture_entropy(e: EveEnsemble) -> float:
     2007, with this in place of log(d − 1)):
     |S(ρ̄) − H_K| ≤ h(ε) + ε·(h(p₀) + g(ν)) < 5.2e-11 bits for K ≤ MAX_CUTOFF.
     """
+    import numpy as np
+
     nu = symplectic_eigenvalue(e.state0)
     q = (nu - 0.5) / (nu + 0.5)
     dim = math.ceil(math.log(THERMAL_TAIL_TOL) / math.log(q)) if q > 0.0 else 1
@@ -276,6 +286,8 @@ def conjecture_probe(s: PrivateScenario, theta_list, sigma_grid) -> tuple:
     golden-section refinement, whose σ values are off the grid, computes
     a fresh χ at each of its evaluations.
     """
+    import numpy as np
+
     if not isinstance(s, PrivateScenario):
         raise DomainError("s must be a PrivateScenario")
     if s.base.noise_site != SITE_SENDER:

@@ -22,17 +22,26 @@ tracked through the Choi state and its logarithmic negativity.
 
 Qubit states and Choi states are plain complex numpy arrays (2x2 and 4x4);
 operations validate Hermiticity, unit trace, and positivity on the way in.
+numpy is imported inside the functions that build or read such arrays, so
+the leakage probabilities and the fidelity need none.  The Choi state's
+partial transpose splits into two 2x2 blocks, and the CLI's negativity
+curve evaluates them straight from ``pi_probs`` through
+``_cross_log_negativity``, the same closed form ``log_negativity`` uses
+on such states: array-free and bit-identical to
+``log_negativity(choi_state(p))``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, NoCriticalPointError, _finite, _nonnegative, _store
 from .threshold import McEstimate
+
+if TYPE_CHECKING:  # annotations only; numpy loads where it is used
+    import numpy as np
 
 __all__ = [
     "QuantumCommParams",
@@ -88,6 +97,8 @@ def pi_probs(p: QuantumCommParams) -> tuple:
 
 
 def _hermitian(matrix: np.ndarray, dim: int, what: str, tol: float) -> np.ndarray:
+    import numpy as np
+
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise DomainError(f"{what} must be {dim}x{dim}, got shape {m.shape}")
@@ -99,6 +110,8 @@ def _hermitian(matrix: np.ndarray, dim: int, what: str, tol: float) -> np.ndarra
 
 
 def _validate_qubit(rho: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     rho = _hermitian(rho, 2, "qubit state", _HERM_TOL)
     if abs(rho[0, 0].real + rho[1, 1].real - 1.0) > _HERM_TOL:
         raise DomainError("qubit state must have unit trace")
@@ -113,6 +126,8 @@ def apply_channel(rho_in: np.ndarray, p: QuantumCommParams) -> np.ndarray:
     Populations exchange weight through the leakage probabilities and the
     off-diagonal element is damped by their complement.
     """
+    import numpy as np
+
     rho = _validate_qubit(rho_in)
     pl, pg = pi_probs(p)
     coh = 1.0 - pl - pg
@@ -153,6 +168,8 @@ def choi_state(p: QuantumCommParams) -> np.ndarray:
     the Bell coherence survives in the (0,3) corner scaled by
     (1 - pi_less - pi_greater)/2.
     """
+    import numpy as np
+
     pl, pg = pi_probs(p)
     c = np.zeros((4, 4), dtype=complex)
     c[0, 0] = 0.5 * (1.0 - pl)
@@ -170,6 +187,16 @@ def _two_by_two_eigs(a: float, d: float, b: complex) -> tuple:
     return half_sum - radius, half_sum + radius
 
 
+def _cross_log_negativity(outer: tuple, inner: tuple) -> float:
+    """max(0, log2 Σ|eig|) of a partial transpose made of two 2x2 blocks.
+
+    Each block is (a, d, b) as ``_two_by_two_eigs`` takes it: ``outer``
+    sits on basis states {00, 11}, ``inner`` on {01, 10}.
+    """
+    eigs = _two_by_two_eigs(*outer) + _two_by_two_eigs(*inner)
+    return max(0.0, math.log2(sum(abs(x) for x in eigs)))
+
+
 def log_negativity(choi: np.ndarray) -> float:
     """Logarithmic negativity of a two-qubit state: log2 of the PT trace norm.
 
@@ -180,16 +207,16 @@ def log_negativity(choi: np.ndarray) -> float:
     eigensolve.  The result is clamped at 0, attained exactly when the
     partial transpose is positive semidefinite.
     """
+    import numpy as np
+
     c = _hermitian(choi, 4, "Choi state", 1e-10)
     pt = c.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     off = pt - np.diag(np.diag(pt)) - np.fliplr(np.diag(np.diag(np.fliplr(pt))))
     if np.max(np.abs(off)) < 1e-14:
-        eigs = list(
-            _two_by_two_eigs(pt[0, 0].real, pt[3, 3].real, pt[0, 3])
-        ) + list(_two_by_two_eigs(pt[1, 1].real, pt[2, 2].real, pt[1, 2]))
-        trace_norm = sum(abs(x) for x in eigs)
-    else:
-        trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))
+        return _cross_log_negativity(
+            (pt[0, 0].real, pt[3, 3].real, pt[0, 3]), (pt[1, 1].real, pt[2, 2].real, pt[1, 2])
+        )
+    trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))
     return max(0.0, math.log2(trace_norm))
 
 
@@ -201,6 +228,8 @@ def haar_fidelity_oracle(p: QuantumCommParams, n: int, seed: int) -> McEstimate:
     Independent of the closed form in average_fidelity, so the two serve as
     mutual checks.
     """
+    import numpy as np
+
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n!r}")
     rng = np.random.Generator(np.random.Philox(seed))

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, _finite, _prior, _store
 
 __all__ = [
@@ -200,6 +198,8 @@ def mc_success_probability(spec: BinaryThresholdSpec, n: int, seed: int) -> McEs
     error.  Uses a counter-based Philox generator so a fixed seed yields
     the same stream on every platform.
     """
+    import numpy as np
+
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n!r}")
     rng = np.random.Generator(np.random.Philox(seed))

@@ -498,25 +498,95 @@ class TestOutputPlumbing:
         assert f"cannot write {path}" in err
 
 
+def fresh_python(probe, *argv):
+    """stdout of ``probe`` run by a fresh interpreter that imports this srbosonic."""
+    src = str(pathlib.Path(srbosonic.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return result.stdout
+
+
+# runs one command in-process, then reports its exit code and whether numpy
+# got loaded on a last line of its own
+NUMPY_AFTER_COMMAND = (
+    "import sys; from srbosonic import cli; code = cli.main(sys.argv[1:]); "
+    "print(); print(code, 'numpy' in sys.modules)"
+)
+
+
 class TestImportFootprint:
+    """The closed-form commands never import numpy; the array ones do."""
+
+    NUMPY_FREE = [
+        SWEEP_ARGS,
+        ["interval", "--eta", "0.8", "--alpha-q", "1", "--vary", "r",
+         "--grid-start", "0", "--grid-stop", "1", "--grid-step", "0.25"],
+        ["rectangle", "--eta", "0.8", "--alpha-q", "1", "--alpha-p", "1"],
+        TestDiscriminate.ARGS + ["--theta", "2.0", "--grid-start", "0", "--grid-stop", "1",
+                                 "--grid-step", "0.5"],
+        TestDiscriminate.ARGS + ["--interval"],
+        TestDiscriminate.ARGS + ["--interval", "--r", "0.3", "--site", "sender"],
+        ["fidelity", "--x0", "0.3", "--theta", "0.25,0.31",
+         "--grid-start", "0", "--grid-stop", "0.4", "--grid-step", "0.2"],
+        ["negativity", "--x0", "0.3", "--theta", "0.25,0.35",
+         "--grid-start", "0", "--grid-stop", "0.4", "--grid-step", "0.2"],
+    ]
+    NEEDS_NUMPY = [
+        TestMcCheck.ARGS,
+        ["private", "--eta", "0.8", "--alpha-q", "1", "--theta", "1.0",
+         "--grid-start", "0", "--grid-stop", "1", "--grid-step", "0.5"],
+    ]
+
     def test_cli_import_loads_no_scipy(self):
         # scipy is a test-only dependency; a fresh interpreter importing the
         # CLI must not pull in any part of it
-        src = str(pathlib.Path(srbosonic.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         probe = (
             "import sys, srbosonic.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
+        assert fresh_python(probe).strip() == "[]"
+
+    @pytest.mark.parametrize("module", ["srbosonic", "srbosonic.cli"])
+    def test_import_loads_no_numpy(self, module):
+        # every layer is still loaded, as the package re-exports them all
+        probe = (
+            f"import sys, {module}; "
+            "print('numpy' in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('srbosonic.')))"
         )
-        assert result.stdout.strip() == "[]"
+        layers = [
+            f"srbosonic.{name}"
+            for name in ("errors", "fock", "private_rate", "qubit", "rootfind", "schemes",
+                         "threshold")
+        ]
+        if module == "srbosonic.cli":
+            layers = sorted(layers + ["srbosonic.cli"])
+        assert fresh_python(probe).strip() == f"False {layers}"
+
+    def test_every_public_name_resolves_from_the_root(self):
+        probe = (
+            "import srbosonic; "
+            "print(len(srbosonic.__all__), "
+            "[n for n in srbosonic.__all__ if getattr(srbosonic, n, None) is None])"
+        )
+        count, missing = fresh_python(probe).strip().split(" ", 1)
+        assert int(count) == len(srbosonic.__all__)
+        assert missing == "[]"
+
+    @pytest.mark.parametrize("argv", NUMPY_FREE, ids=lambda argv: argv[0])
+    def test_closed_form_command_loads_no_numpy(self, argv):
+        assert fresh_python(NUMPY_AFTER_COMMAND, *argv).splitlines()[-1] == "0 False"
+
+    @pytest.mark.parametrize("argv", NEEDS_NUMPY, ids=lambda argv: argv[0])
+    def test_array_command_loads_numpy(self, argv):
+        assert fresh_python(NUMPY_AFTER_COMMAND, *argv).splitlines()[-1] == "0 True"
 
 
 class TestJsonSchema:

@@ -87,6 +87,15 @@ class TestLadder:
             ladder(1)
         with pytest.raises(DomainError):
             ladder(2.0)
+        with pytest.raises(DomainError):
+            ladder(8.0)
+        with pytest.raises(DomainError):
+            ladder(True)
+
+    def test_numpy_integer_dim_accepted(self):
+        a, adag = ladder(np.int64(8))
+        assert type(a.dim) is int and a.dim == 8
+        assert np.array_equal(a.entries, ladder(8)[0].entries)
 
 
 class TestDisplacement:

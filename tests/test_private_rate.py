@@ -458,7 +458,7 @@ class TestGramRoute:
         def refuse(_):
             raise AssertionError("eigvalsh reached")
 
-        monkeypatch.setattr(private_rate_module.np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         e = eve_ensemble(PrivateScenario(base=fig_base(), theta=0.0), 1e6)
         with pytest.raises(CutoffError) as info:
             holevo_chi(e)
@@ -473,7 +473,7 @@ class TestGramRoute:
             raise AssertionError("Gram matrix built")
 
         monkeypatch.setattr(private_rate_module, "_gram_entropy", refuse)
-        monkeypatch.setattr(private_rate_module.np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         e = eve_ensemble(PrivateScenario(base=fig_base(), theta=0.0), 200.0**2)
         with pytest.raises(CutoffError) as info:
             holevo_chi(e)

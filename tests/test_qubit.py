@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from srbosonic import cli
 from srbosonic.errors import DomainError, NoCriticalPointError
 from srbosonic.qubit import (
     QuantumCommParams,
+    _cross_log_negativity,
     apply_channel,
     average_fidelity,
     choi_state,
@@ -245,6 +247,28 @@ class TestLogNegativity:
         bad[0, 1] = 1.0
         with pytest.raises(DomainError):
             log_negativity(bad)
+
+    def test_closed_form_from_leakage_is_bit_identical(self):
+        # the CLI's negativity curve never builds the Choi matrix; its
+        # points must equal the array route bit for bit, including the
+        # step functions at sigma2 = 0, theta = +-x0 and near-flat noise
+        rng = np.random.default_rng(43)
+        cases = []
+        for _ in range(4000):
+            x0 = 10.0 ** rng.uniform(-3, 1)
+            theta = float(rng.choice([x0, -x0, 0.0, rng.uniform(-4 * x0, 4 * x0)]))
+            sigma = float(rng.choice([0.0, 10.0 ** rng.uniform(-6, 5), rng.uniform(0, 3 * x0)]))
+            cases.append((x0, theta, sigma))
+        for x0, theta, sigma in cases:
+            p = QuantumCommParams(x0=x0, theta=theta, sigma2=sigma * sigma)
+            pl, pg = pi_probs(p)
+            blocks = (
+                (0.5 * (1.0 - pl), 0.5 * (1.0 - pg), 0.0),
+                (0.5 * pg, 0.5 * pl, 0.5 * (1.0 - pl - pg)),
+            )
+            want = log_negativity(choi_state(p))
+            assert _cross_log_negativity(*blocks) == want
+            assert cli._negativity({"x0": x0}, theta, sigma) == want
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(41)
