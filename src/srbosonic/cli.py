@@ -35,7 +35,7 @@ from functools import partial
 
 from . import __version__
 from .errors import CutoffError, DomainError, NoCriticalPointError, SolverError
-from .private_rate import PrivateScenario, _chi_by_sigma, _rate, conjecture_probe
+from .private_rate import _chi_by_sigma, _rate, conjecture_probe
 from .qubit import QuantumCommParams, _cross_log_negativity, average_fidelity, pi_probs
 from .schemes import (
     ClassicalScenario,
@@ -352,7 +352,7 @@ def _run_private(cfg: dict):
     """χ once per distinct σ_E², shared by every θ's I(A:B) − χ series."""
     base = _classical_scenario(cfg)
     grid = cfg["grid"]
-    chis = _chi_by_sigma(PrivateScenario(base=base, theta=cfg["theta"][0]), grid)
+    chis = _chi_by_sigma(base, grid)
     chi_at = dict(zip(grid, chis))
     return _theta_series(
         cfg, lambda theta, sigma: _rate(base, theta, sigma * sigma, chi_at[sigma])
@@ -426,9 +426,7 @@ def _run_discriminate(cfg: dict):
 
 
 def _run_probe(cfg: dict):
-    base = _classical_scenario(cfg)
-    scenario = PrivateScenario(base=base, theta=cfg["theta"][0])
-    results = conjecture_probe(scenario, cfg["theta"], cfg["grid"])
+    results = conjecture_probe(_classical_scenario(cfg), cfg["theta"], cfg["grid"])
     series = [
         ("nonmonotonic", [1.0 if r.nonmonotonic else 0.0 for r in results]),
         ("argmax_sigma", [r.argmax_sigma for r in results]),

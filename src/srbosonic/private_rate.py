@@ -101,17 +101,24 @@ class EveEnsemble:
             )
 
 
-def eve_ensemble(s: PrivateScenario, sigma2: float) -> EveEnsemble:
+def _base(s: ClassicalScenario | PrivateScenario) -> ClassicalScenario:
+    # χ never reads θ: a PrivateScenario counts as its ClassicalScenario
+    if isinstance(s, PrivateScenario):
+        return s.base
+    if not isinstance(s, ClassicalScenario):
+        raise DomainError("s must be a ClassicalScenario or a PrivateScenario")
+    return s
+
+
+def eve_ensemble(s: ClassicalScenario | PrivateScenario, sigma2: float) -> EveEnsemble:
     """Conditional states of the loss output for the two encoded bits.
 
     Means are ∓√(1−η)·α_q.  The q variance is ((1−η)(e^{−2r}+σ_E²)+η)/2
     with σ_E² = σ² for sender-site noise and 0 for receiver-site noise;
     the p variance is ((1−η)e^{2r}+η)/2.
     """
-    if not isinstance(s, PrivateScenario):
-        raise DomainError("s must be a PrivateScenario")
+    base = _base(s)
     sigma2 = _nonnegative("sigma2", sigma2)
-    base = s.base
     leak = 1.0 - base.eta
     sigma_e2 = sigma2 if base.noise_site == SITE_SENDER else 0.0
     mean_mag = math.sqrt(leak) * base.alpha_q
@@ -240,21 +247,18 @@ def _rate(base: ClassicalScenario, theta: float, sigma2: float, chi: float) -> f
     return mutual_information(classical_channel(base, theta, sigma2), base.prior0) - chi
 
 
-def _eve_chi(s: PrivateScenario, sigma_e2: float) -> float:
-    return holevo_chi(eve_ensemble(s, sigma_e2))
-
-
-def _chi_by_sigma(s: PrivateScenario, sigmas) -> list:
+def _chi_by_sigma(s: ClassicalScenario | PrivateScenario, sigmas) -> list:
     """χ at each σ of the grid, one ``holevo_chi`` per distinct σ_E².
 
     σ_E² is σ² at the sender site and 0 at the receiver site, where the
     whole grid shares a single χ.
     """
-    sender = s.base.noise_site == SITE_SENDER
+    base = _base(s)
+    sender = base.noise_site == SITE_SENDER
     keys = [sig * sig if sender else 0.0 for sig in sigmas]
     # largest σ_E² (largest cutoff) first, so a grid past the χ ceiling fails at once
-    chi_by_key = {key: _eve_chi(s, key) for key in sorted(set(keys), reverse=True)}
-    return [chi_by_key[key] for key in keys]
+    chi_at = {key: holevo_chi(eve_ensemble(base, key)) for key in sorted(set(keys), reverse=True)}
+    return [chi_at[key] for key in keys]
 
 
 def private_rate(s: PrivateScenario, sigma2: float) -> float:
@@ -272,7 +276,7 @@ class RateProbeResult:
     gain: float
 
 
-def conjecture_probe(s: PrivateScenario, theta_list, sigma_grid) -> tuple:
+def conjecture_probe(s: ClassicalScenario | PrivateScenario, theta_list, sigma_grid) -> tuple:
     """Scan private_rate over a σ grid for each θ; flag noise-assisted gains.
 
     Sender site only: that is the regime where added noise degrades the
@@ -284,13 +288,10 @@ def conjecture_probe(s: PrivateScenario, theta_list, sigma_grid) -> tuple:
     χ does not depend on θ, so the grid stage evaluates it once per σ
     (``_chi_by_sigma``) and shares it across the whole θ list; only the
     golden-section refinement, whose σ values are off the grid, computes
-    a fresh χ at each of its evaluations.
+    a fresh χ at each of its evaluations.  A PrivateScenario's θ is not read.
     """
-    import numpy as np
-
-    if not isinstance(s, PrivateScenario):
-        raise DomainError("s must be a PrivateScenario")
-    if s.base.noise_site != SITE_SENDER:
+    base = _base(s)
+    if base.noise_site != SITE_SENDER:
         raise DomainError("conjecture_probe requires sender-site noise")
     thetas, sigmas = tuple(theta_list), tuple(sigma_grid)
     if not thetas or not sigmas:
@@ -298,17 +299,18 @@ def conjecture_probe(s: PrivateScenario, theta_list, sigma_grid) -> tuple:
     thetas = tuple(_finite("theta values", theta) for theta in thetas)
     sigmas = _sigma_grid(sigmas, "sigma values")
 
-    chi_by_sigma = _chi_by_sigma(s, sigmas)
+    chi_by_sigma = _chi_by_sigma(base, sigmas)
 
     results = []
     for theta in thetas:
         def rate(sigma: float, theta=theta) -> float:
-            return _rate(s.base, theta, sigma * sigma, _eve_chi(s, sigma * sigma))
+            sigma2 = sigma * sigma
+            return _rate(base, theta, sigma2, holevo_chi(eve_ensemble(base, sigma2)))
 
         values = [
-            _rate(s.base, theta, sig * sig, chi) for sig, chi in zip(sigmas, chi_by_sigma)
+            _rate(base, theta, sig * sig, chi) for sig, chi in zip(sigmas, chi_by_sigma)
         ]
-        best = int(np.argmax(values))
+        best = values.index(max(values))  # the first maximum
         best_sigma = sigmas[best]
         best_value = values[best]
         if 0 < best < len(sigmas) - 1:

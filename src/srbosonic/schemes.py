@@ -20,17 +20,18 @@ region.
 
 Solver notes.  Every interval boundary is a zero of one stationary
 condition: the sign of d P_s / d sigma^2 at sigma^2 = 0+.  For signal
-levels a0 > a1 with priors p0, p1, noiseless variances v0, v1 and noise
-weights c_x (eta_x for sender-site noise, 1 at the receiver), that sign is
-the sign of
+levels a0 > a1 with priors p0, p1, total variances v0, v1 at sigma^2 and
+noise weights c_x (eta_x for sender-site noise, 1 at the receiver), the
+sign of d P_s / d sigma^2 is the sign of
 
-    g(theta) = ln(p0 c0 |theta - a0|) - (theta - a0)^2 / (2 v0) - 1.5 ln v0
-               - [the same terms for hypothesis 1],
+    g(theta, sigma^2) = ln(p0 c0 |theta - a0|) - (theta - a0)^2 / (2 v0)
+                        - 1.5 ln v0 - [the same terms for hypothesis 1],
 
 taken as is above a0, negated below a1, and -inf between the levels (the
-curve always falls there).  With one shared noise floor K (each quadrature
-of the symmetric schemes, levels -+m; receiver-site discrimination at
-r = 0, K = 1) the critical variance has the closed form
+curve always falls there); the boundaries are zeros of g(theta, 0).
+With one shared noise floor K (each quadrature of the symmetric schemes,
+levels -+m; receiver-site discrimination at r = 0, K = 1) the critical
+variance has the closed form
 
     sigma*^2 = (a1 - a0) (2 theta - (a0 + a1)) / ln R - K,
     R = p0 (theta - a0) / (p1 (theta - a1)),
@@ -48,10 +49,12 @@ returned root follows from the exact identity sigma*^2 = -K^2 h / (K h +
 gap (gap + 2 t)), which is what the residual fields report.
 Discrimination takes gap = alpha (eta0 - eta1) / (sqrt(eta0) +
 sqrt(eta1)), free of the cancellation in a0 - a1.  Squeezed or
-sender-site discrimination has no closed form: its interval bisects g
-itself over theta, and its critical variance is -1.0 wherever g says the
-curve does not rise at 0+.  Every boundary walks out from its signal
-level with one bracket-and-bisect helper.
+sender-site discrimination has no closed form, and one g serves it
+three ways: its interval bisects g(theta, 0) over theta, its critical
+variance is -1.0 wherever g(theta, 0) <= 0 (the curve does not rise at
+0+), and otherwise sigma*^2 is the zero of g(theta, sigma^2) in sigma^2,
+bisected to float resolution.  Every boundary, and that sigma*^2, is
+found by one bracket-and-bisect helper.
 
 The residual is limited by conditioning, not by the solver: u is bisected
 to float resolution, and |sigma*^2| at that u grows as the two signal
@@ -85,7 +88,7 @@ from .errors import (
     _sigma_grid,
     _store,
 )
-from .rootfind import bisect, golden_max
+from .rootfind import bisect
 from .threshold import (
     ORIENT_ABOVE,
     ORIENT_BELOW,
@@ -463,64 +466,52 @@ def critical_sigma2_discrimination(s: DiscriminationScenario, theta: float) -> f
     - sqrt(eta1)); as in the classical case a negative value flags
     monotonicity.  Any squeezing, or sender-site noise (which scales
     differently under the two hypotheses), has no algebraic stationary
-    condition; those paths locate the interior maximum numerically to 1e-10
-    in sigma^2 and return -1.0 when the exact onset sign says the curve does
-    not rise at 0+.
+    condition; those paths return -1.0 when the exact slope sign says the
+    curve does not rise at 0+, and otherwise bisect sigma*^2 on that sign
+    to float resolution.
     """
     theta = _finite("theta", theta)
     _check_solvable(s.prior0, s.alpha_q, "critical noise level")
     if s.r > 0.0 or s.noise_site == SITE_SENDER:
-        if _onset_sign(s, theta) <= 0.0:
+        g0 = _onset_sign(s, theta)
+        if g0 <= 0.0:
             return -1.0
-        return _critical_sigma2_numeric(
-            lambda sig2: success_discrimination(s, theta, sig2)
-        )
+        slope = partial(_onset_sign, s, theta)
+        return _bracket_and_bisect(slope, 0.0, g0, 1e6, 1e-3, xtol=0.0, maxit=200)
     a0, a1 = _discrimination_levels(s)
     return _two_level_sigma2(theta, a0, a1, -_discrimination_gap(s), s.prior0, 1.0)
 
 
-def _onset_sign(s: DiscriminationScenario, theta: float) -> float:
-    """g(theta), positive exactly where d P_s / d sigma^2 > 0 at sigma^2 = 0+.
+def _onset_sign(s: DiscriminationScenario, theta: float, sigma2: float = 0.0) -> float:
+    """g(theta, sigma^2), positive exactly where d P_s / d sigma^2 > 0.
 
-    The derivative is the difference of p_x c_x (theta - a_x) phi_x / v_x^1.5
-    over the two hypotheses (up to a positive factor); g compares their
-    logarithms, so it keeps its sign far into the Gaussian tails.
+    The module notes' g at the total variances v_x of sigma2, taken term by
+    term from the near level (distance d, v_n) to the far one (d + gap, v_f):
+    ln(p_n c_n / (p_f c_f)) - log1p(gap / d) + gap (2 d + gap) / (2 v_f) +
+    d^2 dv / (2 v_n v_f) - 1.5 log1p(dv / v_f), dv = v_n - v_f.  So the two
+    large (theta - a_x)^2 / (2 v_x) never cancel, and g keeps its sign far
+    into the Gaussian tails.  Its zero in theta at sigma2 = 0 is an interval
+    boundary; its zero in sigma2 at fixed theta is sigma*^2.
     """
     a0, a1 = _discrimination_levels(s)
     if a1 <= theta <= a0:
         return -math.inf  # the curve always falls between the levels
     sender = s.noise_site == SITE_SENDER
-    terms = [
-        log_p + (math.log(eta) if sender else 0.0) + math.log(abs(theta - level))
-        - (theta - level) ** 2 / (2.0 * v) - 1.5 * math.log(v)
-        for log_p, eta, level, v in zip(
-            (math.log(s.prior0), math.log1p(-s.prior0)),
-            (s.eta0, s.eta1),
-            (a0, a1),
-            _discrimination_variances(s, 0.0),
-        )
-    ]
-    g = terms[0] - terms[1]
-    return g if theta > a0 else -g
-
-
-def _critical_sigma2_numeric(ps: Callable[[float], float]) -> float:
-    """Interior argmax over sigma^2 of a success curve that rises at 0+."""
-    # Walk a geometric grid until the curve turns over, then refine.
-    a = 0.0
-    b = 1e-3
-    fb = ps(b)
-    if fb <= ps(0.0):
-        return golden_max(ps, 0.0, b, xtol=1e-10)
-    while True:
-        c = 2.0 * b
-        if c > 1e6:
-            raise SolverError("no interior maximum found below sigma^2 = 1e6")
-        fc = ps(c)
-        if fc < fb:
-            break
-        a, b, fb = b, c, fc
-    return golden_max(ps, a, c, xtol=1e-10)
+    gap = _discrimination_gap(s)
+    v0, v1 = _discrimination_variances(s, sigma2)
+    # hypothesis 0 against 1: ln(p0 c0 / (p1 c1)) and v0 - v1
+    lw = math.log(s.prior0) - math.log1p(-s.prior0)
+    if sender:
+        lw += math.log(s.eta0 / s.eta1)
+    dv = 0.5 * (s.eta0 - s.eta1) * (math.expm1(-2.0 * s.r) + (sigma2 if sender else 0.0))
+    if theta > a0:  # a0 is the near level
+        d, v_n, v_f = theta - a0, v0, v1
+    else:
+        d, v_n, v_f, lw, dv = a1 - theta, v1, v0, -lw, -dv
+    return (
+        lw - math.log1p(gap / d) + gap * (2.0 * d + gap) / (2.0 * v_f)
+        + d * d * dv / (2.0 * v_n * v_f) - 1.5 * math.log1p(dv / v_f)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +543,8 @@ def _bracket_and_bisect(
             break
         if outer == bound:
             raise SolverError(
-                "forbidden-interval bracketing failed: no sign change below the "
-                "search bound"
+                f"bracketing failed: no sign change between {x0!r} and the "
+                f"search bound {bound!r}"
             )
         inner, step = outer, 2.0 * step
     lo, hi = sorted((inner, outer))

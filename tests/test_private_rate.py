@@ -149,6 +149,12 @@ class TestEveEnsemble:
         assert abs(e.state0.cov[0, 0] - want_qq) <= 1e-15
         assert abs(e.state0.cov[1, 1] - want_pp) <= 1e-15
 
+    def test_theta_free_input(self):
+        e = eve_ensemble(fig_base(), 2.0)
+        want = eve_ensemble(PrivateScenario(base=fig_base(), theta=0.0), 2.0)
+        assert np.array_equal(e.state0.cov, want.state0.cov)
+        assert np.array_equal(e.state1.mean, want.state1.mean)
+
     def test_negative_sigma2_rejected(self):
         with pytest.raises(DomainError):
             eve_ensemble(PrivateScenario(base=fig_base(), theta=0.0), -0.1)
@@ -290,6 +296,17 @@ class TestConjectureProbe:
         with pytest.raises(DomainError):
             conjecture_probe(s, [0.0], [])
 
+    def test_rejects_other_scenarios(self):
+        with pytest.raises(DomainError, match="ClassicalScenario or a PrivateScenario"):
+            conjecture_probe("lossy", [0.0], [0.0, 0.5])
+
+    def test_theta_free_input_matches_private_scenario(self):
+        # the probe never reads a PrivateScenario's own theta
+        grid = [0.25 * k for k in range(5)]
+        assert conjecture_probe(fig_base(), [0.0, 1.0], grid) == conjecture_probe(
+            PrivateScenario(base=fig_base(), theta=2.0), [0.0, 1.0], grid
+        )
+
     def test_rejects_bad_grid(self):
         s = PrivateScenario(base=fig_base(), theta=0.0)
         with pytest.raises(DomainError):
@@ -352,7 +369,7 @@ class TestSharedChi:
     def test_rate_helper_matches_private_rate(self):
         s = PrivateScenario(base=fig_base(), theta=0.7)
         sigmas = [0.0, 0.5, 1.0]
-        chis = private_rate_module._chi_by_sigma(s, sigmas)
+        chis = private_rate_module._chi_by_sigma(s.base, sigmas)
         for sig, chi in zip(sigmas, chis):
             value = private_rate_module._rate(s.base, s.theta, sig * sig, chi)
             assert value == private_rate(s, sig * sig)

@@ -648,6 +648,45 @@ class TestDiscrimination:
             s, theta, 0.0
         )
 
+    # sigma*^2 off the closed form.  Values from a 60-digit mpmath bisection
+    # of the analytic slope sign g(theta, sigma^2); a 60-digit maximisation
+    # of P_s itself (mpmath erfc, root of its derivative) agrees to every
+    # digit shown.  The sender case gains 5.0e-6 over sigma^2 = 0.
+    SENDER_ORACLE = (
+        dict(eta0=0.57, eta1=0.48, alpha_q=0.8, prior0=0.24, noise_site="sender"),
+        12.9,
+        38.655238890181839391,
+    )
+    SQUEEZED_ORACLE = (
+        dict(eta0=0.52, eta1=0.45, alpha_q=0.9, r=0.5, prior0=0.72),
+        -4.2,
+        0.55856106741062656091,
+    )
+
+    @pytest.mark.parametrize("kw, theta, want", [SENDER_ORACLE, SQUEEZED_ORACLE])
+    def test_numeric_critical_value_matches_oracle(self, kw, theta, want):
+        got = critical_sigma2_discrimination(DiscriminationScenario(**kw), theta)
+        assert abs(got - want) <= 1e-12 * want, got
+
+    def test_numeric_critical_value_beats_noiseless(self):
+        kw, theta, _ = self.SENDER_ORACLE
+        s = DiscriminationScenario(**kw)
+        crit = critical_sigma2_discrimination(s, theta)
+        assert success_discrimination(s, theta, crit) > success_discrimination(
+            s, theta, 0.0
+        )
+
+    def test_far_onset_boundary_within_its_width(self):
+        # Nearly equal transmissivities put the lower boundary near theta =
+        # -3.8e4, where each hypothesis's (theta - a_x)^2 / (2 v_x) is ~1.4e9;
+        # g subtracts them term by term to keep its sign there.  Root from a
+        # 60-digit mpmath bisection of g(theta, 0).
+        s = DiscriminationScenario(
+            eta0=0.8, eta1=0.799, alpha_q=0.02, prior0=0.7, noise_site="sender"
+        )
+        iv = forbidden_interval_discrimination(s)
+        assert abs(iv.lo - -37936.368521697215406) <= iv.residual_lo
+
     def test_squeezing_trend_matches_classical_behavior(self):
         widths = []
         for r in (0.0, 0.3, 0.6, 0.9):
