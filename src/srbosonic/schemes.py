@@ -21,54 +21,45 @@ region.
 Solver notes.  Every interval boundary is a zero of one stationary
 condition: the sign of d P_s / d sigma^2 at sigma^2 = 0+.  For signal
 levels a0 > a1 with priors p0, p1, total variances v0, v1 at sigma^2 and
-noise weights c_x (eta_x for sender-site noise, 1 at the receiver), the
-sign of d P_s / d sigma^2 is the sign of
+noise weights c_x (eta_x for sender-site noise, 1 at the receiver), that
+sign is the sign of ln(p0 c0 |theta - a0|) - (theta - a0)^2 / (2 v0) -
+1.5 ln v0 - [the same terms for hypothesis 1], taken as is above a0,
+negated below a1, and -inf between the levels (the curve always falls
+there).  Beyond either level, with d = e^u the distance to that near
+level, gap the distance on to the far one, lw = ln(p_n c_n / (p_f c_f))
+and dv = v_n - v_f, one function writes it as
 
-    g(theta, sigma^2) = ln(p0 c0 |theta - a0|) - (theta - a0)^2 / (2 v0)
-                        - 1.5 ln v0 - [the same terms for hypothesis 1],
+    g(u) = lw - log1p(gap / d) + gap (2 d + gap) / (2 v_f)
+           + d^2 dv / (2 v_n v_f) - 1.5 log1p(dv / v_f),
 
-taken as is above a0, negated below a1, and -inf between the levels (the
-curve always falls there); the boundaries are zeros of g(theta, 0).
-With one shared noise floor K (each quadrature of the symmetric schemes,
-levels -+m; receiver-site discrimination at r = 0, K = 1) the critical
-variance has the closed form
-
-    sigma*^2 = (a1 - a0) (2 theta - (a0 + a1)) / ln R - K,
-    R = p0 (theta - a0) / (p1 (theta - a1)),
-
-and both boundaries solve one equation.  Beyond the level `near`, with
-the other level `gap` away and theta = near +- t (+ above the upper
-level, - below the lower one), t = e^u,
-
-    h(u) = ln(gap + t) + ln(p_far / p_near) - u - gap (gap + 2 t) / K,
-
-which is pole-free, strictly decreasing and asymptotically linear in u,
-and positive inside the interval.  The log prior ratio is +-(ln p0 -
-log1p(-p0)), so no prior is rounded through 1 - p0.  sigma*^2 at the
-returned root follows from the exact identity sigma*^2 = -K^2 h / (K h +
-gap (gap + 2 t)), which is what the residual fields report.
-Discrimination takes gap = alpha (eta0 - eta1) / (sqrt(eta0) +
-sqrt(eta1)), free of the cancellation in a0 - a1.  Squeezed or
-sender-site discrimination has no closed form, and one g serves it
-three ways: its interval bisects g(theta, 0) over theta, its critical
-variance is -1.0 wherever g(theta, 0) <= 0 (the curve does not rise at
-0+), and otherwise sigma*^2 is the zero of g(theta, sigma^2) in sigma^2,
-bisected to float resolution.  Every boundary, and that sigma*^2, is
-found by one bracket-and-bisect helper.
+so the large (theta - a_x)^2 / (2 v_x) never cancel, and log1p(gap / d),
+a softplus of ln gap - u, evaluates even where d underflows.  With one
+shared noise floor K (v = K / 2: each quadrature of the symmetric
+schemes, receiver-site discrimination at r = 0 with K = 1), dv = 0 and g
+rises strictly in u from negative inside the interval; each boundary
+bisects it in u within the fixed bounds [-1e9, ln 1e300].  Discrimination
+takes gap = alpha (eta0 - eta1) / (sqrt(eta0) + sqrt(eta1)), free of the
+cancellation in a0 - a1; no log prior ratio rounds p0 through 1 - p0.
+The critical variance then has the closed form sigma*^2 = (a1 - a0)
+(2 theta - (a0 + a1)) / ln R - K, R = p0 (theta - a0) / (p1 (theta -
+a1)), which at theta = near +- t is K^2 g / (gap (gap + 2 t) - K g): the
+residual fields report it.  Squeezed or sender-site discrimination has
+no closed form: its interval bisects g(theta, 0) over theta, its critical
+variance is -1.0 wherever g(theta, 0) <= 0, and otherwise the zero of
+g(theta, sigma^2) in sigma^2, bisected to float resolution.  One
+bracket-and-bisect helper finds every root.
 
 The residual is limited by conditioning, not by the solver: u is bisected
-to float resolution, and |sigma*^2| at that u grows as the two signal
-levels approach each other.  Measured on random scenarios, it stayed
-within ROOT_RESIDUAL_TOL (worst 4e-11) whenever the levels lie at least
-0.01 apart (2 sqrt(eta) alpha_q in the symmetric schemes, a0 - a1 for
-discrimination), and reached 5e-8 (symmetric schemes, separations down to
-2e-4) and 3e-7 (discrimination, down to 1e-4).  No check enforces the
-tolerance, since that would reject valid weak-signal inputs.  For strong
-signals the root can sit within one float ulp of the signal level itself
-(the boundary collapses onto it); the solver then returns the correctly
-rounded level and the residual identity still applies.  Where that
-identity has a zero denominator at the root (sigma*^2 diverges), the solve
-raises SolverError.
+to 1e-14, and the identity divides the rounding of g by gap (gap + 2 t).
+On 4000 random scenarios per band (priors down to 1e-9) it stayed within
+ROOT_RESIDUAL_TOL (worst 2.5e-11 symmetric, 4.8e-11 discrimination) for
+levels at least 0.01 apart (2 sqrt(eta) alpha_q, or a0 - a1), reached
+1e-7 and 1.6e-7 down to 2e-4, and 26 and 4.2e3 down to 1e-10, where
+theta is still within 1e-14 of a 50-digit root.  No check enforces the
+tolerance, since that would reject valid weak-signal inputs.  A strong
+signal's root can sit below one float ulp of its level; theta is then
+the correctly rounded level.  A zero denominator raises SolverError;
+none occurred in 18 000 weak-signal intervals.
 """
 
 from __future__ import annotations
@@ -126,8 +117,9 @@ SITE_SENDER = "sender"
 SITE_RECEIVER = "receiver"
 _SITES = (SITE_SENDER, SITE_RECEIVER)
 
-# Residual in sigma*^2 that closed-form boundaries keep when the signal
-# levels lie at least 0.01 apart (measured, not checked; see the solver notes).
+# Residual in sigma*^2 that closed-form boundaries keep when the signal levels
+# lie at least 0.01 apart (measured worst 5e-11, not checked); weak signals
+# exceed it with theta right to ~1e-14, as the identity is ill-conditioned.
 ROOT_RESIDUAL_TOL = 1e-10
 # Non-monotonicity margin for sweeps: the curve must beat its sigma-start
 # value by more than this to count as a resonance.
@@ -417,6 +409,14 @@ def _check_solvable(prior0: float, amplitude: float, what: str) -> None:
         raise NoCriticalPointError(f"zero signal amplitude: no {what}")
 
 
+def _log_odds(p: float) -> float:
+    # ln(p / (1 - p)) to a few ulps: near p = 1/2, where ln p - log1p(-p)
+    # cancels, 2p - 1 is exact
+    if 0.25 <= p <= 0.75:
+        return math.log1p((2.0 * p - 1.0) / (1.0 - p))
+    return math.log(p) - math.log1p(-p)
+
+
 def _two_level_sigma2(
     theta: float, l0: float, l1: float, spread: float, prior0: float, k: float
 ) -> float:
@@ -482,43 +482,54 @@ def critical_sigma2_discrimination(s: DiscriminationScenario, theta: float) -> f
     return _two_level_sigma2(theta, a0, a1, -_discrimination_gap(s), s.prior0, 1.0)
 
 
-def _onset_sign(s: DiscriminationScenario, theta: float, sigma2: float = 0.0) -> float:
-    """g(theta, sigma^2), positive exactly where d P_s / d sigma^2 > 0.
+def _slope_sign(
+    gap: float, lw: float, v_n: float, v_f: float, dv: float
+) -> Callable[[float], float]:
+    """g(u) of the module's solver notes, positive where d P_s / d sigma^2 > 0.
 
-    The module notes' g at the total variances v_x of sigma2, taken term by
-    term from the near level (distance d, v_n) to the far one (d + gap, v_f):
-    ln(p_n c_n / (p_f c_f)) - log1p(gap / d) + gap (2 d + gap) / (2 v_f) +
-    d^2 dv / (2 v_n v_f) - 1.5 log1p(dv / v_f), dv = v_n - v_f.  So the two
-    large (theta - a_x)^2 / (2 v_x) never cancel, and g keeps its sign far
-    into the Gaussian tails.  Its zero in theta at sigma2 = 0 is an interval
-    boundary; its zero in sigma2 at fixed theta is sigma*^2.
+    Its constants are folded once per boundary, and the d terms are written
+    d (c1 + c2 d), so dv = 0 never forms inf * 0 at the search bound.
+    """
+    lg = math.log(gap)
+    c0 = lw + gap * gap / (2.0 * v_f) - 1.5 * math.log1p(dv / v_f)
+    c1 = gap / v_f
+    c2 = dv / (2.0 * v_n * v_f)
+
+    def g(u: float) -> float:
+        x = lg - u
+        softplus = x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
+        d = math.exp(u)
+        return c0 - softplus + d * (c1 + c2 * d)
+
+    return g
+
+
+def _onset_sign(s: DiscriminationScenario, theta: float, sigma2: float = 0.0) -> float:
+    """g(theta, sigma^2) at u = ln|theta - near level|.
+
+    Its zero in theta at sigma2 = 0 is an interval boundary; its zero in
+    sigma2 at fixed theta is sigma*^2.
     """
     a0, a1 = _discrimination_levels(s)
     if a1 <= theta <= a0:
         return -math.inf  # the curve always falls between the levels
     sender = s.noise_site == SITE_SENDER
-    gap = _discrimination_gap(s)
     v0, v1 = _discrimination_variances(s, sigma2)
     # hypothesis 0 against 1: ln(p0 c0 / (p1 c1)) and v0 - v1
-    lw = math.log(s.prior0) - math.log1p(-s.prior0)
-    if sender:
-        lw += math.log(s.eta0 / s.eta1)
+    lw = _log_odds(s.prior0) + (math.log(s.eta0 / s.eta1) if sender else 0.0)
     dv = 0.5 * (s.eta0 - s.eta1) * (math.expm1(-2.0 * s.r) + (sigma2 if sender else 0.0))
     if theta > a0:  # a0 is the near level
         d, v_n, v_f = theta - a0, v0, v1
     else:
         d, v_n, v_f, lw, dv = a1 - theta, v1, v0, -lw, -dv
-    return (
-        lw - math.log1p(gap / d) + gap * (2.0 * d + gap) / (2.0 * v_f)
-        + d * d * dv / (2.0 * v_n * v_f) - 1.5 * math.log1p(dv / v_f)
-    )
+    return _slope_sign(_discrimination_gap(s), lw, v_n, v_f, dv)(math.log(d))
 
 
 # ---------------------------------------------------------------------------
 # Forbidden-interval solvers
 
-_OFFSET_START = 1e-6  # initial distance from the signal level, in theta
-_U_FLOOR = -1e9  # lower search bound of the log offset u = ln|theta - level|
+# start and bounds of the log offset u = ln|theta - level|
+_U_START, _U_FLOOR, _U_CEIL = math.log(1e-6), -1e9, math.log(1e300)
 
 
 def _bracket_and_bisect(
@@ -551,50 +562,35 @@ def _bracket_and_bisect(
     return bisect(f, lo, hi, xtol=xtol, maxit=maxit)
 
 
-def _boundary_root(
-    near: float, gap: float, side: int, lpr: float, k: float, alpha: float
-) -> tuple:
-    """Interval boundary theta = near + side e^u beyond one of two signal levels.
+def _boundary_root(near: float, gap: float, side: int, lw: float, k: float) -> tuple:
+    """(theta, |sigma*^2| residual) of the boundary theta = near + side e^u.
 
-    The levels lie gap apart and share the noise floor k; lpr is
-    ln(p_far / p_near).  Solves h(u) = ln(gap + t) + lpr - u - gap (gap +
-    2t) / k = 0 with t = e^u, and returns (theta, |sigma*^2| residual).
-    When the root lies below float resolution the boundary collapses onto
-    near itself; the residual identity still evaluates (to ~0) and is
-    reported as is.
+    The levels lie gap apart and share the noise floor k; lw is ln(p_near /
+    p_far).  A root below float resolution returns near itself.
     """
-
-    def h(u: float) -> float:
-        t = math.exp(u)
-        return math.log(gap + t) + lpr - u - gap * (gap + 2.0 * t) / k
-
-    # h is positive inside the interval and negative beyond it
-    u_root = math.log(_OFFSET_START)
-    f0 = h(u_root)
+    g = _slope_sign(gap, lw, 0.5 * k, 0.5 * k, 0.0)
+    u_root = _U_START
+    f0 = g(u_root)
     if f0 != 0.0:
-        bound = math.log(1e6 * max(alpha, 1.0)) if f0 > 0.0 else _U_FLOOR
-        u_root = _bracket_and_bisect(
-            h, u_root, f0, bound, math.log(2.0), xtol=1e-14, maxit=300
-        )
+        bound = _U_CEIL if f0 < 0.0 else _U_FLOOR  # g < 0 inside the interval
+        u_root = _bracket_and_bisect(g, u_root, f0, bound, math.log(2.0), xtol=1e-14, maxit=300)
     t = math.exp(u_root)
-    h_val = h(u_root)
-    den = k * h_val + gap * (gap + 2.0 * t)
+    g_val = g(u_root)
+    den = gap * (gap + 2.0 * t) - k * g_val
     if den == 0.0:
         raise SolverError(
             f"sigma*^2 diverges at the forbidden-interval boundary next to signal "
             f"level {near!r}: its residual identity has a zero denominator"
         )
-    return near + side * t, abs(k * k * h_val / den)
+    return near + side * t, abs(k * k * g_val / den)
 
 
-def _symmetric_interval(
-    m: float, k: float, prior0: float, alpha: float
-) -> ForbiddenInterval:
+def _symmetric_interval(m: float, k: float, prior0: float) -> ForbiddenInterval:
     # Levels -m (prior0) and +m: the far level of the upper boundary is -m.
     _check_solvable(prior0, m, "forbidden interval")
-    lpr = math.log(prior0) - math.log1p(-prior0)
-    hi, res_hi = _boundary_root(m, 2.0 * m, +1, lpr, k, alpha)
-    lo, res_lo = _boundary_root(-m, 2.0 * m, -1, -lpr, k, alpha)
+    lw = _log_odds(prior0)
+    hi, res_hi = _boundary_root(m, 2.0 * m, +1, -lw, k)
+    lo, res_lo = _boundary_root(-m, 2.0 * m, -1, lw, k)
     return ForbiddenInterval(lo=lo, hi=hi, residual_lo=res_lo, residual_hi=res_hi)
 
 
@@ -602,16 +598,17 @@ def forbidden_interval_classical(s: ClassicalScenario) -> ForbiddenInterval:
     """Threshold interval of guaranteed monotone noise response (classical).
 
     Boundaries are roots of sigma*^2(theta) = 0; the residual fields report
-    |sigma*^2| there, which stays within ROOT_RESIDUAL_TOL for signal levels
-    sqrt(eta) alpha_q >= 0.005 (see the module's solver notes).  They
-    bracket the signal levels: lo <= -sqrt(eta) alpha_q < sqrt(eta) alpha_q
-    <= hi.  The interval does not depend on the noise-injection site since
-    sender and receiver curves differ only by the reparametrization
-    sigma^2 -> eta sigma^2.
+    |sigma*^2| there, within ROOT_RESIDUAL_TOL (worst measured 2.5e-11) for
+    signal levels sqrt(eta) alpha_q >= 0.005.  Weaker signals keep theta to
+    ~1e-14, but their residual is ill-conditioned, up to O(10) (see the
+    module's solver notes).  They bracket the signal levels: lo <=
+    -sqrt(eta) alpha_q < sqrt(eta) alpha_q <= hi.  The interval does not
+    depend on the noise-injection site since sender and receiver curves
+    differ only by the reparametrization sigma^2 -> eta sigma^2.
     """
     m = math.sqrt(s.eta) * s.alpha_q
     k = _noise_floor_classical(s.eta, s.r)
-    return _symmetric_interval(m, k, s.prior0, s.alpha_q)
+    return _symmetric_interval(m, k, s.prior0)
 
 
 def forbidden_rectangle(s: EAScenario) -> ForbiddenRectangle:
@@ -625,8 +622,8 @@ def forbidden_rectangle(s: EAScenario) -> ForbiddenRectangle:
     """
     root_eta = math.sqrt(s.eta)
     k = _noise_floor_ea(s.eta, s.r)
-    q_int = _symmetric_interval(root_eta * s.alpha_q, k, s.prior_q, s.alpha_q)
-    p_int = _symmetric_interval(root_eta * s.alpha_p, k, s.prior_p, s.alpha_p)
+    q_int = _symmetric_interval(root_eta * s.alpha_q, k, s.prior_q)
+    p_int = _symmetric_interval(root_eta * s.alpha_p, k, s.prior_p)
     return ForbiddenRectangle(q_interval=q_int, p_interval=p_int)
 
 
@@ -649,10 +646,12 @@ def forbidden_interval_discrimination(s: DiscriminationScenario) -> ForbiddenInt
 
     Boundaries obey lo <= sqrt(eta1) alpha_q < sqrt(eta0) alpha_q <= hi.
     Receiver-site noise with r = 0 solves the stationary-condition roots and
-    reports |sigma*^2| there, within ROOT_RESIDUAL_TOL when the levels lie
-    at least 0.01 apart (see the module's solver notes).  Squeezed or
-    sender-site scenarios bisect the exact sign of d P_s / d sigma^2 at
-    sigma^2 = 0+ over theta to width 1e-6 (reported in the residual fields).
+    reports |sigma*^2| there, within ROOT_RESIDUAL_TOL (worst measured
+    4.8e-11) when the levels lie at least 0.01 apart; closer levels keep
+    theta to ~1e-14 with an ill-conditioned residual, up to O(1e3) (see the
+    module's solver notes).  Squeezed or sender-site scenarios bisect the
+    exact sign of d P_s / d sigma^2 at sigma^2 = 0+ over theta to width
+    1e-6 (reported in the residual fields).
     """
     _check_solvable(s.prior0, s.alpha_q, "forbidden interval")
     if s.r > 0.0 or s.noise_site == SITE_SENDER:
@@ -661,9 +660,9 @@ def forbidden_interval_discrimination(s: DiscriminationScenario) -> ForbiddenInt
     # upper boundary is a1.
     a0, a1 = _discrimination_levels(s)
     gap = _discrimination_gap(s)
-    lpr = math.log(s.prior0) - math.log1p(-s.prior0)
-    hi, res_hi = _boundary_root(a0, gap, +1, -lpr, 1.0, s.alpha_q)
-    lo, res_lo = _boundary_root(a1, gap, -1, lpr, 1.0, s.alpha_q)
+    lw = _log_odds(s.prior0)
+    hi, res_hi = _boundary_root(a0, gap, +1, lw, 1.0)
+    lo, res_lo = _boundary_root(a1, gap, -1, -lw, 1.0)
     return ForbiddenInterval(lo=lo, hi=hi, residual_lo=res_lo, residual_hi=res_hi)
 
 

@@ -144,14 +144,16 @@ class TestInterval:
         _, rows = parse_csv(out)
         assert rows[0][0] < -math.sqrt(0.3) * 0.003
 
-    def test_divergent_residual_exits_3(self):
+    def test_weak_signal_interval_exits_0(self):
+        # the lower root lies ~1.6e8 out; oracle: a 60-digit bisection of g
         code, out, err = run_cli([
             "interval", "--eta", "0.5", "--alpha-q", "1e-8", "--prior0", "0.01",
         ])
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: interval failed: ")
-        assert "Traceback" not in err
+        assert code == 0
+        assert err == ""
+        _, rows = parse_csv(out)
+        assert rows[0][0] == pytest.approx(-162462020.3197540255500777, rel=1e-14)
+        assert rows[0][1] == 7.215375318230077e-09
 
 
 class TestRectangle:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from srbosonic.errors import DomainError, NoCriticalPointError, SolverError
+from srbosonic.errors import DomainError, NoCriticalPointError
 from srbosonic.schemes import (
     ROOT_RESIDUAL_TOL,
     ClassicalScenario,
@@ -81,28 +81,38 @@ def disc_scenario(**kw):
 
 
 def decimal_boundary(near, gap, side, p_near, k):
-    """Oracle boundary theta = near + side t by a 50-digit bisection of h.
+    """Oracle boundary theta = near + side t by a 50-digit bisection of g.
 
     Two signal levels gap apart share the noise floor k; the far level has
-    prior 1 - p_near.  h(t) = ln((gap + t) p_far / (t p_near)) - gap (gap +
-    2t) / k is positive inside the interval and negative beyond it.  All
-    arguments are Decimals.
+    prior 1 - p_near.  The slope sign g(t) = ln(t p_near / ((gap + t)
+    p_far)) + gap (gap + 2t) / k is negative inside the interval and
+    positive beyond it.  It is bisected in u = ln t over [-1e5, 1e3], wide
+    enough for weak-signal roots far out and strong-signal roots below the
+    smallest float.  All arguments are Decimals.
     """
 
-    def h(t):
-        return ((gap + t) * (1 - p_near) / (t * p_near)).ln() - gap * (gap + 2 * t) / k
+    def g(u):
+        t = u.exp()
+        return (t * p_near / ((gap + t) * (1 - p_near))).ln() + gap * (gap + 2 * t) / k
 
     with localcontext() as ctx:
         ctx.prec = 50
-        lo, hi = Decimal("1e-30"), Decimal(1000)
-        assert h(lo) > 0 > h(hi)
-        for _ in range(200):
+        lo, hi = Decimal(-100000), Decimal(1000)
+        assert g(lo) < 0 < g(hi)
+        for _ in range(130):
             mid = (lo + hi) / 2
-            if h(mid) > 0:
+            if g(mid) < 0:
                 lo = mid
             else:
                 hi = mid
-        return near + side * (lo + hi) / 2
+        return near + side * ((lo + hi) / 2).exp()
+
+
+def assert_boundary_close(got, want, near):
+    # theta = near +- t, so its error is relative to the larger of |theta|
+    # and |near|; beyond the symmetric levels -+m that is |theta| itself
+    scale = max(abs(want), abs(near))
+    assert abs(Decimal(got) - want) <= Decimal("1e-13") * scale, (got, want)
 
 
 def assert_matches_oracle(interval, m, k, prior0):
@@ -110,10 +120,8 @@ def assert_matches_oracle(interval, m, k, prior0):
     p0 = Decimal(prior0)
     with localcontext() as ctx:
         ctx.prec = 50
-        lo = decimal_boundary(-m, 2 * m, -1, p0, k)
-        hi = decimal_boundary(m, 2 * m, +1, 1 - p0, k)
-        for got, want in ((interval.lo, lo), (interval.hi, hi)):
-            assert abs((Decimal(got) - want) / want) <= Decimal("1e-13"), (got, want)
+        assert_boundary_close(interval.lo, decimal_boundary(-m, 2 * m, -1, p0, k), m)
+        assert_boundary_close(interval.hi, decimal_boundary(m, 2 * m, +1, 1 - p0, k), m)
 
 
 class TestVarianceComposition:
@@ -392,22 +400,52 @@ class TestForbiddenIntervalClassical:
         assert thetas_checked > 3000
 
     def test_root_found_where_doubling_step_passes_search_bound(self):
-        # The mirrored root's doubling step jumps past the search bound;
-        # the last step must be clamped to the bound, where h has already
-        # changed sign, instead of giving up.
+        # A prior of 1e-7 puts the lower root far beyond the signal level;
+        # the search must reach it instead of giving up at a bound.
         s = ClassicalScenario(eta=0.3, alpha_q=0.003, prior0=1e-7)
         iv = forbidden_interval_classical(s)
         assert iv.lo < -math.sqrt(0.3) * 0.003
         assert critical_sigma2_classical(s, 1.001 * iv.lo) > 0.0
         assert critical_sigma2_classical(s, 0.999 * iv.lo) < 0.0
 
-    def test_divergent_residual_identity_raises_solver_error(self):
-        # At this root sigma*^2 has a pole: the residual identity's
-        # denominator is exactly zero, which must not escape as
-        # ZeroDivisionError.
-        s = ClassicalScenario(eta=0.5, alpha_q=1e-8, prior0=0.01)
-        with pytest.raises(SolverError, match="signal level"):
-            forbidden_interval_classical(s)
+    def test_weak_signal_boundaries_match_oracle(self):
+        # The lower root lies ~1.6e8 out; the upper one, 1.4e-10 above the
+        # level, has the ill-conditioned residual identity (|sigma*^2| ~ 1)
+        # while theta itself is correctly rounded.  Oracle: a 60-digit
+        # mpmath bisection of g.
+        iv = forbidden_interval_classical(
+            ClassicalScenario(eta=0.5, alpha_q=1e-8, prior0=0.01)
+        )
+        assert iv.lo == pytest.approx(-162462020.3197540255500777, rel=1e-14)
+        assert iv.hi == 7.215375318230077e-09
+
+    @given(
+        eta=st.floats(0.05, 1.0),
+        log_q=st.floats(-10.0, 0.0),
+        log_p=st.floats(-10.0, 0.0),
+        r=st.floats(0.0, 1.0),
+        prior_q=st.floats(1e-9, 1.0 - 1e-9),
+        prior_p=st.floats(1e-9, 1.0 - 1e-9),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_weak_signal_boundaries_match_decimal_oracle(
+        self, eta, log_q, log_p, r, prior_q, prior_p
+    ):
+        # Signal levels sqrt(eta) alpha_q down to 1e-10 put the outer
+        # boundaries up to ~1e9 away; theta is still right to 1e-13.
+        root_eta = math.sqrt(eta)
+        alpha_q, alpha_p = 10.0**log_q / root_eta, 10.0**log_p / root_eta
+        s = ClassicalScenario(eta=eta, alpha_q=alpha_q, r=r, prior0=prior_q)
+        ea = ea_scenario(
+            eta=eta, r=r, prior_q=prior_q, prior_p=prior_p, alpha_q=alpha_q, alpha_p=alpha_p
+        )
+        rect = forbidden_rectangle(ea)
+        k = Decimal(2 * classical_total_variance(s, 0.0))
+        k_ea = Decimal(2 * ea_total_variance(ea, 0.0))
+        m_q, m_p = Decimal(root_eta * alpha_q), Decimal(root_eta * alpha_p)
+        assert_matches_oracle(forbidden_interval_classical(s), m_q, k, prior_q)
+        assert_matches_oracle(rect.q_interval, m_q, k_ea, prior_q)
+        assert_matches_oracle(rect.p_interval, m_p, k_ea, prior_p)
 
     @given(
         eta=st.floats(0.01, 1.0),
@@ -612,6 +650,54 @@ class TestDiscrimination:
         )
         assert iv.residual_lo <= ROOT_RESIDUAL_TOL
         assert iv.residual_hi <= ROOT_RESIDUAL_TOL
+
+    # Receiver-site, r = 0 levels 5.2e-7 and 3.1e-8 apart; the second has
+    # gap^2 below the rounding of the log prior ratio.  Lower roots from a
+    # 60-digit mpmath bisection of g.
+    @pytest.mark.parametrize("kw, want", [
+        (
+            dict(eta0=0.6807643, eta1=0.6806803, alpha_q=0.0103052, prior0=0.7906555),
+            -1266588.115905389386034419,
+        ),
+        (
+            dict(
+                eta0=0.16057358329823135,
+                eta1=0.1605733529298655,
+                alpha_q=0.1066678717678803,
+                prior0=0.999999974859586,
+            ),
+            -285356927.3080843488123929,
+        ),
+    ])
+    def test_near_equal_levels_lower_boundary_matches_oracle(self, kw, want):
+        iv = forbidden_interval_discrimination(DiscriminationScenario(**kw))
+        assert iv.lo == pytest.approx(want, rel=1e-14)
+        assert math.sqrt(kw["eta0"]) * kw["alpha_q"] <= iv.hi
+
+    @given(
+        eta0=st.floats(0.05, 0.99),
+        alpha=st.floats(0.5, 10.0),
+        log_gap=st.floats(-10.0, -1.0),
+        prior0=st.floats(1e-9, 1.0 - 1e-9),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_weak_signal_boundaries_match_decimal_oracle(self, eta0, alpha, log_gap, prior0):
+        # Receiver site, r = 0, a0 - a1 down to 1e-10: theta to 1e-13.  The
+        # lower boundary a1 - t can lie near 0, so the error is measured
+        # against |a1| there.
+        eta1 = (math.sqrt(eta0) - 10.0**log_gap / alpha) ** 2
+        assume(eta1 < eta0)
+        iv = forbidden_interval_discrimination(
+            DiscriminationScenario(eta0=eta0, eta1=eta1, alpha_q=alpha, prior0=prior0)
+        )
+        with localcontext() as ctx:
+            ctx.prec = 50
+            a0, a1 = (Decimal(eta).sqrt() * Decimal(alpha) for eta in (eta0, eta1))
+            p0 = Decimal(prior0)
+            lo = decimal_boundary(a1, a0 - a1, -1, 1 - p0, Decimal(1))
+            hi = decimal_boundary(a0, a0 - a1, +1, p0, Decimal(1))
+            assert_boundary_close(iv.lo, lo, a1)
+            assert_boundary_close(iv.hi, hi, a0)
 
     def test_root_found_where_doubling_step_passes_search_bound(self):
         s = DiscriminationScenario(eta0=0.9, eta1=0.4, alpha_q=0.003, prior0=1e-7)
