@@ -28,10 +28,11 @@ from typing import TYPE_CHECKING
 
 from .errors import CutoffError, DomainError, _finite, _nonnegative, _prior, _sigma_grid, _store
 from .fock import (
-    ENTROPY_CLIP,
     MAX_CUTOFF,
     THERMAL_TAIL_TOL,
     GaussianStateOneMode,
+    _spectrum_entropy,
+    _thermal_weights,
     gaussian_entropy,
     symplectic_eigenvalue,
 )
@@ -177,8 +178,7 @@ def _gram_entropy(nu: float, prior0: float, x: float, dim: int) -> float:
     """
     import numpy as np
 
-    nbar = nu - 0.5
-    weights = (nbar / (nbar + 1.0)) ** np.arange(dim) / (nbar + 1.0)
+    weights = _thermal_weights(nu - 0.5, dim, gate=False)
     root = np.sqrt(weights)
     gram = np.diag(np.concatenate((prior0 * weights, (1.0 - prior0) * weights)))
     gram[:dim, dim:] = math.sqrt(prior0 * (1.0 - prior0)) * (
@@ -191,8 +191,7 @@ def _gram_entropy(nu: float, prior0: float, x: float, dim: int) -> float:
         raise CutoffError(
             f"Gram matrix at thermal cutoff {dim}: eigenvalue {lam[0]:.3e}, drift {drift:.3e}"
         )
-    lam = lam[lam > ENTROPY_CLIP]
-    return float(-(lam * np.log2(lam)).sum())
+    return _spectrum_entropy(lam)
 
 
 def _mixture_entropy(e: EveEnsemble) -> float:

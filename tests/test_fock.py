@@ -6,6 +6,7 @@ matrices.  Moment extraction on the test side is written from scratch so
 gaussian_to_fock's internal self-check is not the thing checking itself.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from srbosonic.errors import CutoffError, DomainError
 from srbosonic.fock import (
+    MAX_CUTOFF,
     FockDensity,
     FockOperator,
     GaussianStateOneMode,
@@ -27,6 +29,8 @@ from srbosonic.fock import (
     thermal_state,
     von_neumann_entropy,
 )
+
+fock_module = importlib.import_module("srbosonic.fock")
 
 
 def quadrature_moments(entries):
@@ -391,3 +395,165 @@ class TestGaussianEntropy:
             g = GaussianStateOneMode(mean, rotated_cov(nu, s, phi))
             rho = converged_fock_density(g)
             assert abs(von_neumann_entropy(rho) - gaussian_entropy(g)) <= 1e-6
+
+
+def h2(p):
+    return 0.0 if p in (0.0, 1.0) else -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+
+def record_builds(monkeypatch):
+    """Wrap gaussian_to_fock; return the list of (dim, accepted) of every build."""
+    builds = []
+    build = fock_module.gaussian_to_fock
+
+    def counting(g, dim):
+        try:
+            rho = build(g, dim)
+        except CutoffError:
+            builds.append((dim, False))
+            raise
+        builds.append((dim, True))
+        return rho
+
+    monkeypatch.setattr(fock_module, "gaussian_to_fock", counting)
+    return builds
+
+
+def cutoff_ladder(start):
+    """suggest_cutoff's start grown 25% at a time, up to MAX_CUTOFF."""
+    dims = []
+    while start <= MAX_CUTOFF:
+        dims.append(start)
+        start = int(math.ceil(start * 1.25))
+    return dims
+
+
+class TestOneAcceptedBuild:
+    def test_coherent_state_needs_one_build(self, monkeypatch):
+        # the state of test_coherent_state_fidelity passes at its first cutoff
+        builds = record_builds(monkeypatch)
+        g = GaussianStateOneMode((math.sqrt(2) * 1.2, 0.0), [[0.5, 0.0], [0.0, 0.5]])
+        rho = converged_fock_density(g)
+        assert builds == [(suggest_cutoff(g), True)]
+        assert rho.dim == suggest_cutoff(g)
+
+    def test_squeezed_vacuum_builds_once_per_rejected_cutoff(self, monkeypatch):
+        builds = record_builds(monkeypatch)
+        r = 1.2
+        g = GaussianStateOneMode((0.0, 0.0), [[math.exp(-2 * r) / 2, 0.0], [0.0, math.exp(2 * r) / 2]])
+        rho = converged_fock_density(g)
+        dims = [dim for dim, _ in builds]
+        assert dims == cutoff_ladder(suggest_cutoff(g))[: len(builds)]
+        assert [accepted for _, accepted in builds] == [False] * (len(builds) - 1) + [True]
+        assert len(builds) > 1
+        assert rho.dim == dims[-1]
+
+    def test_start_above_max_cutoff_builds_nothing(self, monkeypatch):
+        def refuse(g, dim):
+            raise AssertionError(f"built at cutoff {dim}")
+
+        monkeypatch.setattr(fock_module, "gaussian_to_fock", refuse)
+        g = GaussianStateOneMode((25.0, 0.0), [[0.5, 0.0], [0.0, 0.5]])
+        assert suggest_cutoff(g) == 6280 > MAX_CUTOFF
+        with pytest.raises(CutoffError) as info:
+            converged_fock_density(g)
+        message = str(info.value)
+        assert "starting cutoff 6280" in message
+        assert str(MAX_CUTOFF) in message
+
+    def test_exhaustion_quotes_the_last_gate_failure(self, monkeypatch):
+        tried = []
+
+        def reject(g, dim):
+            tried.append(dim)
+            raise CutoffError(f"moments off at cutoff {dim}")
+
+        monkeypatch.setattr(fock_module, "gaussian_to_fock", reject)
+        with pytest.raises(CutoffError) as info:
+            converged_fock_density(vacuum_state())
+        assert tried == cutoff_ladder(30)
+        assert f"moments off at cutoff {tried[-1]}" in str(info.value)
+
+
+class TestThermalTailCertificate:
+    """The spectrum of gaussian_to_fock(g, K) is the renormalized thermal core.
+
+    Then S_K = g(ν) − h(ε)/(1 − ε) exactly, ε = q^K, q = n̄/(n̄+1).  The
+    entropy von_neumann_entropy reports also drops the eigenvalues at or
+    below 1e-14; that loss is computed here from the weights (≤ 1.1e-12
+    bits on these states).  The rounding allowance on top, 1e-13 bits, is
+    about 15 times the worst residual measured on these 100 states (7e-15).
+    """
+
+    ROUNDING = 1e-13
+
+    def test_spectrum_and_entropy_on_criterion_8_states(self):
+        # criterion 8's draws, in its order
+        rng = np.random.Generator(np.random.Philox(9))
+        for _ in range(100):
+            nu = float(rng.uniform(0.5, 2.2))
+            s = float(rng.uniform(0.0, 0.9))
+            phi = float(rng.uniform(-math.pi, math.pi))
+            mean = (float(rng.uniform(-1.5, 1.5)), float(rng.uniform(-1.5, 1.5)))
+            g = GaussianStateOneMode(mean, rotated_cov(nu, s, phi))
+            rho = converged_fock_density(g)  # gaussian_to_fock(g, K) at the accepted K
+            dim = rho.dim
+            nbar = symplectic_eigenvalue(g) - 0.5
+            q = nbar / (nbar + 1.0)
+            weights = np.array([(1.0 - q) * q**k for k in range(dim)])
+            weights /= weights.sum()
+            lam = np.linalg.eigvalsh(rho.entries)
+            assert np.max(np.abs(lam - np.sort(weights))) <= 1e-12
+            eps = q**dim
+            assert eps <= 1e-12
+            bound = h2(eps) / (1.0 - eps)
+            clipped = math.fsum(-w * math.log2(w) for w in weights if 0.0 < w <= 1e-14)
+            gap = gaussian_entropy(g) - von_neumann_entropy(rho)
+            assert -self.ROUNDING <= gap <= bound + clipped + self.ROUNDING
+
+    @pytest.mark.parametrize("nbar, dim", [(0.3, 30), (1.7, 60), (12.0, 400)])
+    def test_truncated_entropy_identity(self, nbar, dim):
+        # the chain rule on the geometric law, summed directly
+        q = nbar / (nbar + 1.0)
+        eps = q**dim
+        weights = [(1.0 - q) * q**k / (1.0 - eps) for k in range(dim)]
+        s_k = math.fsum(-w * math.log2(w) for w in weights)
+        g = GaussianStateOneMode((0.0, 0.0), [[nbar + 0.5, 0.0], [0.0, nbar + 0.5]])
+        assert abs(gaussian_entropy(g) - h2(eps) / (1.0 - eps) - s_k) <= 1e-13
+
+    def test_stated_bound_at_the_tail_gate(self):
+        # h(eps)/(1 - eps) increases with eps up to 1/2, so the gate's
+        # eps = 1e-12 is the worst case
+        assert h2(1e-12) / (1.0 - 1e-12) < 4.2e-11
+
+
+class TestCutoffCeiling:
+    """No cutoff above MAX_CUTOFF gets as far as a dim x dim array."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_ladder_arrays(self, monkeypatch):
+        def refuse(dim):
+            raise AssertionError(f"ladder arrays allocated at dim {dim}")
+
+        monkeypatch.setattr(fock_module, "_ladder_arrays", refuse)
+
+    @pytest.mark.parametrize("dim", [MAX_CUTOFF + 1, 10**5])
+    def test_rejected_before_allocation(self, dim):
+        # n-bar 1e7 fails the thermal tail gate at these cutoffs, so even
+        # an engine without the ceiling would stop before a dim x dim array
+        hot = GaussianStateOneMode((0.0, 0.0), [[1e7, 0.0], [0.0, 1e7]])
+        for build in (
+            lambda: ladder(dim),
+            lambda: displacement_op(0.5, dim),
+            lambda: squeeze_op(0.3, dim),
+            lambda: thermal_state(1e7, dim),
+            lambda: gaussian_to_fock(hot, dim),
+        ):
+            with pytest.raises(DomainError, match="MAX_CUTOFF"):
+                build()
+
+    def test_max_cutoff_itself_passes_validation(self):
+        with pytest.raises(AssertionError, match=f"dim {MAX_CUTOFF}"):
+            ladder(MAX_CUTOFF)
+        with pytest.raises(CutoffError, match="thermal tail"):
+            thermal_state(1e7, MAX_CUTOFF)
