@@ -26,11 +26,9 @@ starting a worker and shipping it the job.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from . import __version__
@@ -61,6 +59,20 @@ _MAX_MC_SAMPLES = 10**8
 
 class ConfigError(Exception):
     """Invalid configuration; maps to exit code 2."""
+
+
+def __getattr__(name: str):
+    # ProcessPoolExecutor loads concurrent.futures and multiprocessing, a
+    # sizeable share of start-up that only mc-check --parallel N > 1 needs.
+    # It stays a module attribute because tests patch it and perfbench's
+    # tracer rebinds it by name; this hook goes, and the import moves into
+    # _run_mc_check, once the tracer reads records instead (ROADMAP item 4).
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _parse_float(text: str) -> float:
@@ -442,7 +454,10 @@ def _run_mc_check(cfg: dict):
     # more than there are points or cores
     workers = min(cfg["parallel"], len(jobs), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # through the module object, so a patched or traced class is used,
+        # also when this file runs as __main__
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=workers) as pool:
             rows = list(pool.map(point, jobs))
     else:
         rows = [point(job) for job in jobs]
@@ -483,6 +498,8 @@ def format_csv(x_name, x_values, series) -> str:
 
 
 def format_json(meta: dict, x_values, series) -> str:
+    import json
+
     payload = {
         "meta": meta,
         "series": [

@@ -500,12 +500,12 @@ class TestOutputPlumbing:
         assert f"cannot write {path}" in err
 
 
-def fresh_python(probe, *argv):
-    """stdout of ``probe`` run by a fresh interpreter that imports this srbosonic."""
+def fresh_python(*args):
+    """stdout of ``python *args`` in a fresh interpreter that imports this srbosonic."""
     src = str(pathlib.Path(srbosonic.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
-        [sys.executable, "-c", probe, *argv],
+        [sys.executable, *args],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -516,15 +516,18 @@ def fresh_python(probe, *argv):
 
 
 # runs one command in-process, then reports its exit code and whether numpy
-# got loaded on a last line of its own
+# and the process-pool machinery got loaded, on a last line of its own
 NUMPY_AFTER_COMMAND = (
     "import sys; from srbosonic import cli; code = cli.main(sys.argv[1:]); "
-    "print(); print(code, 'numpy' in sys.modules)"
+    "print(); print(code, 'numpy' in sys.modules, 'multiprocessing' in sys.modules)"
 )
 
 
 class TestImportFootprint:
-    """The closed-form commands never import numpy; the array ones do."""
+    """The closed-form commands never import numpy; the array ones do.
+
+    Only mc-check with more than one worker loads the process pool.
+    """
 
     NUMPY_FREE = [
         SWEEP_ARGS,
@@ -541,7 +544,7 @@ class TestImportFootprint:
          "--grid-start", "0", "--grid-stop", "0.4", "--grid-step", "0.2"],
     ]
     NEEDS_NUMPY = [
-        TestMcCheck.ARGS,
+        TestMcCheck.ARGS + ["--parallel", "1"],
         ["private", "--eta", "0.8", "--alpha-q", "1", "--theta", "1.0",
          "--grid-start", "0", "--grid-stop", "1", "--grid-step", "0.5"],
     ]
@@ -553,14 +556,16 @@ class TestImportFootprint:
             "import sys, srbosonic.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
-        assert fresh_python(probe).strip() == "[]"
+        assert fresh_python("-c", probe).strip() == "[]"
 
     @pytest.mark.parametrize("module", ["srbosonic", "srbosonic.cli"])
     def test_import_loads_no_numpy(self, module):
-        # every layer is still loaded, as the package re-exports them all
+        # every layer is still loaded, as the package re-exports them all;
+        # the process pool and json wait for the one call that uses them
         probe = (
             f"import sys, {module}; "
-            "print('numpy' in sys.modules, "
+            "print([m for m in ('numpy', 'concurrent.futures', 'multiprocessing', 'json') "
+            "if m in sys.modules], "
             "sorted(m for m in sys.modules if m.startswith('srbosonic.')))"
         )
         layers = [
@@ -570,7 +575,7 @@ class TestImportFootprint:
         ]
         if module == "srbosonic.cli":
             layers = sorted(layers + ["srbosonic.cli"])
-        assert fresh_python(probe).strip() == f"False {layers}"
+        assert fresh_python("-c", probe).strip() == f"[] {layers}"
 
     def test_every_public_name_resolves_from_the_root(self):
         probe = (
@@ -578,17 +583,26 @@ class TestImportFootprint:
             "print(len(srbosonic.__all__), "
             "[n for n in srbosonic.__all__ if getattr(srbosonic, n, None) is None])"
         )
-        count, missing = fresh_python(probe).strip().split(" ", 1)
+        count, missing = fresh_python("-c", probe).strip().split(" ", 1)
         assert int(count) == len(srbosonic.__all__)
         assert missing == "[]"
 
     @pytest.mark.parametrize("argv", NUMPY_FREE, ids=lambda argv: argv[0])
     def test_closed_form_command_loads_no_numpy(self, argv):
-        assert fresh_python(NUMPY_AFTER_COMMAND, *argv).splitlines()[-1] == "0 False"
+        last = fresh_python("-c", NUMPY_AFTER_COMMAND, *argv).splitlines()[-1]
+        assert last == "0 False False"
 
     @pytest.mark.parametrize("argv", NEEDS_NUMPY, ids=lambda argv: argv[0])
     def test_array_command_loads_numpy(self, argv):
-        assert fresh_python(NUMPY_AFTER_COMMAND, *argv).splitlines()[-1] == "0 True"
+        last = fresh_python("-c", NUMPY_AFTER_COMMAND, *argv).splitlines()[-1]
+        assert last == "0 True False"
+
+    def test_parallel_mc_check_loads_the_pool(self):
+        # a single core gets one worker, which runs in-process without a pool
+        argv = TestMcCheck.ARGS + ["--parallel", "2"]
+        code, _, pooled = fresh_python("-c", NUMPY_AFTER_COMMAND, *argv).splitlines()[-1].split()
+        assert code == "0"
+        assert pooled == str((os.cpu_count() or 1) > 1)
 
 
 class TestJsonSchema:
@@ -800,6 +814,28 @@ class TestPoolPolicy:
         ])
         assert code == 0
         assert pools == ([cores] if cores > 1 else [])
+
+
+class TestPoolClassLookup:
+    """``cli.ProcessPoolExecutor`` is imported on first use, not with the module."""
+
+    def test_pool_under_python_m_matches_serial_bytes(self):
+        # python -m runs the module as __main__, not as srbosonic.cli
+        code, serial, _ = run_cli(TestMcCheck.ARGS + ["--parallel", "1"])
+        assert code == 0
+        fanned = fresh_python("-m", "srbosonic.cli", *TestMcCheck.ARGS, "--parallel", "2")
+        assert fanned == serial
+
+    def test_pool_class_is_stored_as_a_module_attribute(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        assert cli.ProcessPoolExecutor is ProcessPoolExecutor
+        assert vars(cli)["ProcessPoolExecutor"] is ProcessPoolExecutor
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="module 'srbosonic.cli' has no attribute"):
+            getattr(cli, "no_such_name")
+        assert not hasattr(cli, "no_such_name")
 
 
 def readme_commands():
