@@ -26,6 +26,7 @@ starting a worker and shipping it the job.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -112,6 +113,27 @@ def _parse_str(text: str) -> str:
     return text.strip()
 
 
+# scenario type -> its (field, flag) pairs in field order: a field is the
+# flag of the same name with dashes, except noise_site, which is --site
+_SCENARIO_FLAGS = {
+    cls: tuple(
+        (f.name, "site" if f.name == "noise_site" else f.name.replace("_", "-"))
+        for f in dataclasses.fields(cls)
+    )
+    for cls in (ClassicalScenario, EAScenario, DiscriminationScenario)
+}
+
+
+def _scenario_table(cls) -> tuple:
+    return tuple(
+        (flag, _parse_str if flag == "site" else _parse_float) for _, flag in _SCENARIO_FLAGS[cls]
+    )
+
+
+def _scenario(cls, cfg: dict):
+    return cls(**{name: cfg[flag] for name, flag in _SCENARIO_FLAGS[cls]})
+
+
 # flag name -> converter; single source of truth for the parser, the
 # config-file key set, and the resolver
 _COMMON = (
@@ -120,13 +142,7 @@ _COMMON = (
     ("seed", _parse_int),
     ("parallel", _parse_int),
 )
-_CLASSICAL = (
-    ("eta", _parse_float),
-    ("alpha-q", _parse_float),
-    ("r", _parse_float),
-    ("prior0", _parse_float),
-    ("site", _parse_str),
-)
+_CLASSICAL = _scenario_table(ClassicalScenario)
 _GRID = (
     ("grid-start", _parse_float),
     ("grid-stop", _parse_float),
@@ -135,27 +151,9 @@ _GRID = (
 _FLAGS = {
     "sweep": _CLASSICAL + (("theta", _parse_float_list),) + _GRID,
     "interval": _CLASSICAL + (("vary", _parse_str),) + _GRID,
-    "rectangle": (
-        ("eta", _parse_float),
-        ("r", _parse_float),
-        ("prior-q", _parse_float),
-        ("prior-p", _parse_float),
-        ("alpha-q", _parse_float),
-        ("alpha-p", _parse_float),
-        ("theta-q", _parse_float),
-        ("theta-p", _parse_float),
-        ("site", _parse_str),
-    ),
-    "discriminate": (
-        ("eta0", _parse_float),
-        ("eta1", _parse_float),
-        ("alpha-q", _parse_float),
-        ("r", _parse_float),
-        ("prior0", _parse_float),
-        ("site", _parse_str),
-        ("theta", _parse_float_list),
-        ("interval", _parse_bool),
-    )
+    "rectangle": _scenario_table(EAScenario),
+    "discriminate": _scenario_table(DiscriminationScenario)
+    + (("theta", _parse_float_list), ("interval", _parse_bool))
     + _GRID,
     "fidelity": (("x0", _parse_float), ("theta", _parse_float_list)) + _GRID,
     "negativity": (("x0", _parse_float), ("theta", _parse_float_list)) + _GRID,
@@ -180,8 +178,6 @@ _DEFAULTS = {
 }
 # the conjecture is about sender-site noise, so that is its default
 _COMMAND_DEFAULTS = {"probe-conjecture": {"site": "sender"}}
-
-_GRID_COMMANDS = ("sweep", "fidelity", "negativity", "private", "probe-conjecture", "mc-check")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -264,7 +260,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     if command == "mc-check" and cfg["n"] > _MAX_MC_SAMPLES:
         raise ConfigError(f"n must be <= {_MAX_MC_SAMPLES}, got {cfg['n']}")
 
-    needs_grid = command in _GRID_COMMANDS
+    needs_grid = "grid-step" in table
     if command == "interval":
         if cfg["vary"] is not None and cfg["vary"] not in ("r", "alpha-q"):
             raise ConfigError(f"vary must be r or alpha-q, got {cfg['vary']!r}")
@@ -317,16 +313,6 @@ def _point_mc(scenario: ClassicalScenario, theta: float, n: int, job: tuple) -> 
     return analytic, estimate.estimate, estimate.std_error
 
 
-def _classical_scenario(cfg: dict) -> ClassicalScenario:
-    return ClassicalScenario(
-        eta=cfg["eta"],
-        alpha_q=cfg["alpha-q"],
-        r=cfg["r"],
-        prior0=cfg["prior0"],
-        noise_site=cfg["site"],
-    )
-
-
 def _theta_series(cfg: dict, point):
     """One series per θ of point(theta, sigma) over the σ grid."""
     grid = cfg["grid"]
@@ -338,7 +324,7 @@ def _theta_series(cfg: dict, point):
 
 
 def _run_sweep(cfg: dict):
-    scenario = _classical_scenario(cfg)
+    scenario = _scenario(ClassicalScenario, cfg)
     return _theta_series(
         cfg, lambda theta, sigma: success_classical(scenario, theta, sigma * sigma)
     )
@@ -362,7 +348,7 @@ def _negativity(cfg: dict, theta: float, sigma: float) -> float:
 
 def _run_private(cfg: dict):
     """χ once per distinct σ_E², shared by every θ's I(A:B) − χ series."""
-    base = _classical_scenario(cfg)
+    base = _scenario(ClassicalScenario, cfg)
     grid = cfg["grid"]
     chis = _chi_by_sigma(base, grid)
     chi_at = dict(zip(grid, chis))
@@ -382,28 +368,17 @@ def _interval_series(results) -> list:
 
 def _run_interval(cfg: dict):
     if cfg["vary"] is None:
-        result = forbidden_interval_classical(_classical_scenario(cfg))
+        result = forbidden_interval_classical(_scenario(ClassicalScenario, cfg))
         return None, None, _interval_series([result])
     results = [
-        forbidden_interval_classical(_classical_scenario({**cfg, cfg["vary"]: value}))
+        forbidden_interval_classical(_scenario(ClassicalScenario, {**cfg, cfg["vary"]: value}))
         for value in cfg["grid"]
     ]
     return cfg["vary"].replace("-", "_"), cfg["grid"], _interval_series(results)
 
 
 def _run_rectangle(cfg: dict):
-    scenario = EAScenario(
-        eta=cfg["eta"],
-        r=cfg["r"],
-        prior_q=cfg["prior-q"],
-        prior_p=cfg["prior-p"],
-        alpha_q=cfg["alpha-q"],
-        alpha_p=cfg["alpha-p"],
-        theta_q=cfg["theta-q"],
-        theta_p=cfg["theta-p"],
-        noise_site=cfg["site"],
-    )
-    rect = forbidden_rectangle(scenario)
+    rect = forbidden_rectangle(_scenario(EAScenario, cfg))
     names_values = (
         ("q_lo", rect.q_interval.lo),
         ("q_hi", rect.q_interval.hi),
@@ -417,19 +392,8 @@ def _run_rectangle(cfg: dict):
     return None, None, [(name, [value]) for name, value in names_values]
 
 
-def _discrimination_scenario(cfg: dict) -> DiscriminationScenario:
-    return DiscriminationScenario(
-        eta0=cfg["eta0"],
-        eta1=cfg["eta1"],
-        alpha_q=cfg["alpha-q"],
-        r=cfg["r"],
-        prior0=cfg["prior0"],
-        noise_site=cfg["site"],
-    )
-
-
 def _run_discriminate(cfg: dict):
-    scenario = _discrimination_scenario(cfg)
+    scenario = _scenario(DiscriminationScenario, cfg)
     if cfg["interval"]:
         return None, None, _interval_series([forbidden_interval_discrimination(scenario)])
     return _theta_series(
@@ -438,7 +402,7 @@ def _run_discriminate(cfg: dict):
 
 
 def _run_probe(cfg: dict):
-    results = conjecture_probe(_classical_scenario(cfg), cfg["theta"], cfg["grid"])
+    results = conjecture_probe(_scenario(ClassicalScenario, cfg), cfg["theta"], cfg["grid"])
     series = [
         ("nonmonotonic", [1.0 if r.nonmonotonic else 0.0 for r in results]),
         ("argmax_sigma", [r.argmax_sigma for r in results]),
@@ -448,7 +412,7 @@ def _run_probe(cfg: dict):
 
 
 def _run_mc_check(cfg: dict):
-    point = partial(_point_mc, _classical_scenario(cfg), cfg["theta"], cfg["n"])
+    point = partial(_point_mc, _scenario(ClassicalScenario, cfg), cfg["theta"], cfg["n"])
     jobs = [(sigma, cfg["seed"] + index) for index, sigma in enumerate(cfg["grid"])]
     # a fork-started pool launches every worker up front, so never ask for
     # more than there are points or cores
@@ -479,9 +443,6 @@ _RUNNERS = {
     "probe-conjecture": _run_probe,
     "mc-check": _run_mc_check,
 }
-
-# excluded from emitted metadata: output plumbing must not affect bytes
-_NON_SCIENCE_KEYS = ("out", "format", "parallel", "seed")
 
 
 def format_csv(x_name, x_values, series) -> str:
@@ -519,10 +480,9 @@ def format_json(meta: dict, x_values, series) -> str:
 def _render(cfg: dict, x_name, x_values, series) -> str:
     if cfg["format"] == "csv":
         return format_csv(x_name, x_values, series)
+    # science flags only: _FLAGS holds none of the _COMMON output plumbing
     parameters = {}
     for name, _ in _FLAGS[cfg["command"]]:
-        if name in _NON_SCIENCE_KEYS:
-            continue
         value = cfg.get(name)
         if value is None:
             continue
@@ -549,9 +509,6 @@ def main(argv=None) -> int:
         return 2
     try:
         x_name, x_values, series = _RUNNERS[cfg["command"]](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DomainError as exc:
         # bad parameter combinations surface from constructors here
         print(f"error: {cfg['command']}: {exc}", file=sys.stderr)

@@ -37,17 +37,23 @@ a softplus of ln gap - u, evaluates even where d underflows.  With one
 shared noise floor K (v = K / 2: each quadrature of the symmetric
 schemes, receiver-site discrimination at r = 0 with K = 1), dv = 0 and g
 rises strictly in u from negative inside the interval; each boundary
-bisects it in u within the fixed bounds [-1e9, ln 1e300].  Discrimination
-takes gap = alpha (eta0 - eta1) / (sqrt(eta0) + sqrt(eta1)), free of the
-cancellation in a0 - a1; no log prior ratio rounds p0 through 1 - p0.
-The critical variance then has the closed form sigma*^2 = (a1 - a0)
-(2 theta - (a0 + a1)) / ln R - K, R = p0 (theta - a0) / (p1 (theta -
-a1)), which at theta = near +- t is K^2 g / (gap (gap + 2 t) - K g): the
-residual fields report it.  Squeezed or sender-site discrimination has
-no closed form: its interval bisects g(theta, 0) over theta, its critical
-variance is -1.0 wherever g(theta, 0) <= 0, and otherwise the zero of
-g(theta, sigma^2) in sigma^2, bisected to float resolution.  One
-bracket-and-bisect helper finds every root.
+bisects it in u within the fixed bounds [-1e300, ln 1e300].  Below the
+near level g(u) ~ gap^2 / K - ln gap + u, so a strong signal's root sits
+near u = -gap^2 / K; only gap^2 / K beyond about 1e300 puts it out of
+bounds, which raises SolverError.  Discrimination takes gap = alpha (eta0
+- eta1) / (sqrt(eta0) + sqrt(eta1)), free of the cancellation in a0 - a1;
+no log prior ratio rounds p0 through 1 - p0.  The critical variance then
+has the closed form sigma*^2 = (a1 - a0) (2 theta - (a0 + a1)) / ln R -
+K, R = p0 (theta - a0) / (p1 (theta - a1)), which at theta = near +- t is
+K^2 g / (gap (gap + 2 t) - K g): the residual fields report it.
+Squeezed or sender-site discrimination has no closed form: its interval
+bisects g(theta, 0) over theta, its critical variance is -1.0 wherever
+g(theta, 0) <= 0, and otherwise the zero of g(theta, sigma^2) in
+sigma^2, bisected to float resolution; where g stays positive up to the
+search bound and its sigma^2 -> inf limit ln(p0 / p1) - ln(c0 / c1) / 2
++ ln(|theta - a0| / |theta - a1|) (negated below a1) is positive, P_s
+keeps rising and has no finite optimum.  One bracket-and-bisect helper
+finds every root.
 
 The residual is limited by conditioning, not by the solver: u is bisected
 to 1e-14, and the identity divides the rounding of g by gap (gap + 2 t).
@@ -468,7 +474,14 @@ def critical_sigma2_discrimination(s: DiscriminationScenario, theta: float) -> f
     differently under the two hypotheses), has no algebraic stationary
     condition; those paths return -1.0 when the exact slope sign says the
     curve does not rise at 0+, and otherwise bisect sigma*^2 on that sign
-    to float resolution.
+    to float resolution, searching up to sigma^2 = 1e6.
+
+    Raises NoCriticalPointError for a degenerate prior or zero amplitude;
+    on the closed-form path for a threshold on a level, between the levels,
+    or where ln R vanishes; and on the bisected paths when the slope sign
+    stays positive up to 1e6 and its sigma^2 -> inf limit is positive, so
+    that P_s keeps rising and has no finite optimum.  A sign that stays
+    positive up to 1e6 with a non-positive limit raises SolverError.
     """
     theta = _finite("theta", theta)
     _check_solvable(s.prior0, s.alpha_q, "critical noise level")
@@ -477,7 +490,16 @@ def critical_sigma2_discrimination(s: DiscriminationScenario, theta: float) -> f
         if g0 <= 0.0:
             return -1.0
         slope = partial(_onset_sign, s, theta)
-        return _bracket_and_bisect(slope, 0.0, g0, 1e6, 1e-3, xtol=0.0, maxit=200)
+        try:
+            return _bracket_and_bisect(slope, 0.0, g0, 1e6, 1e-3, xtol=0.0, maxit=200)
+        except SolverError:
+            limit = _onset_sign_limit(s, theta)
+            if limit <= 0.0:
+                raise
+            raise NoCriticalPointError(
+                f"no finite optimum: P_s still rises at sigma^2 = 1e6 and its slope "
+                f"sign tends to {limit!r} > 0 as sigma^2 -> inf"
+            ) from None
     a0, a1 = _discrimination_levels(s)
     return _two_level_sigma2(theta, a0, a1, -_discrimination_gap(s), s.prior0, 1.0)
 
@@ -525,11 +547,24 @@ def _onset_sign(s: DiscriminationScenario, theta: float, sigma2: float = 0.0) ->
     return _slope_sign(_discrimination_gap(s), lw, v_n, v_f, dv)(math.log(d))
 
 
+def _onset_sign_limit(s: DiscriminationScenario, theta: float) -> float:
+    """Limit of _onset_sign(s, theta, sigma2) as sigma2 -> inf, theta off [a1, a0].
+
+    The variances grow as c_x sigma^2 / 2, so the quadratic terms vanish
+    and -1.5 ln(v0 / v1) tends to -1.5 ln(c0 / c1), which with the
+    ln(c0 / c1) of the weights leaves -ln(c0 / c1) / 2.
+    """
+    a0, a1 = _discrimination_levels(s)
+    half_log_c = 0.5 * math.log(s.eta0 / s.eta1) if s.noise_site == SITE_SENDER else 0.0
+    limit = _log_odds(s.prior0) - half_log_c + math.log(abs(theta - a0) / abs(theta - a1))
+    return limit if theta > a0 else -limit
+
+
 # ---------------------------------------------------------------------------
 # Forbidden-interval solvers
 
 # start and bounds of the log offset u = ln|theta - level|
-_U_START, _U_FLOOR, _U_CEIL = math.log(1e-6), -1e9, math.log(1e300)
+_U_START, _U_FLOOR, _U_CEIL = math.log(1e-6), -1e300, math.log(1e300)
 
 
 def _bracket_and_bisect(

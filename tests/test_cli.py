@@ -155,6 +155,15 @@ class TestInterval:
         assert rows[0][0] == pytest.approx(-162462020.3197540255500777, rel=1e-14)
         assert rows[0][1] == 7.215375318230077e-09
 
+    def test_strong_signal_interval_returns_the_levels(self):
+        # the roots sit near u = -1.6e9, within one float ulp of the levels
+        code, out, err = run_cli(["interval", "--eta", "1", "--alpha-q", "20000"])
+        assert (code, err) == (0, "")
+        assert out == (
+            "theta_minus,theta_plus,residual_minus,residual_plus\n"
+            "-20000.0,20000.0,0.0,0.0\n"
+        )
+
 
 class TestRectangle:
     def test_row_is_symmetric_for_equal_amplitudes(self):
@@ -423,6 +432,30 @@ class TestExitCodes:
         assert "thermal cutoff 1242" in err
         assert "limit 1024" in err
 
+    DISCRIMINATE_CONFIG = (
+        "eta0 = 0.9\neta1 = 0.4\nalpha-q = 1.5\ntheta = 2.0\n"
+        "grid-start = 0\ngrid-stop = 1\ngrid-step = 0.5\n"
+    )
+
+    @pytest.mark.parametrize("argv, config, want_code, fragment", [
+        (SWEEP_ARGS[:2] + ["inf"] + SWEEP_ARGS[3:], None, 2, "expected a finite number, got 'inf'"),
+        (SWEEP_ARGS[:6] + [","] + SWEEP_ARGS[7:], None, 2, "comma-separated number list"),
+        (["discriminate"], DISCRIMINATE_CONFIG + "interval = false\n", 0, "sigma,theta=2.0\n"),
+        (["discriminate"], DISCRIMINATE_CONFIG + "interval = maybe\n", 2, "expected a boolean"),
+        (SWEEP_ARGS[:7], None, 2, "grid-start, grid-stop, grid-step are required"),
+        (SWEEP_ARGS[:-1] + ["0"], None, 2, "grid-step must be positive"),
+        (SWEEP_ARGS + ["--site", "bogus"], None, 2, "noise_site must be one of"),
+    ], ids=["inf", "empty-list", "config-interval-false", "config-interval-maybe",
+            "no-grid", "zero-step", "bad-site"])
+    def test_value_paths(self, argv, config, want_code, fragment, tmp_path):
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        code, out, err = run_cli(argv)
+        assert code == want_code
+        assert fragment in (out if want_code == 0 else err)
+
     @pytest.mark.parametrize("step", ["1e-320", "1e-300"])
     def test_oversize_grid_rejected_before_building(self, step):
         # 1e-320 overflowed the point count; 1e-300 asks for 3e300 points
@@ -607,7 +640,9 @@ class TestImportFootprint:
 
 class TestJsonSchema:
     def test_meta_and_series_layout(self):
-        code, out, _ = run_cli(SWEEP_ARGS + ["--format", "json", "--seed", "9"])
+        code, out, _ = run_cli(
+            SWEEP_ARGS + ["--format", "json", "--seed", "9", "--parallel", "2"]
+        )
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {"meta", "series"}
@@ -620,6 +655,8 @@ class TestJsonSchema:
         # output plumbing must not leak into the science metadata
         assert "out" not in meta["parameters"]
         assert "format" not in meta["parameters"]
+        assert "parallel" not in meta["parameters"]
+        assert "seed" not in meta["parameters"]
         names = [entry["name"] for entry in payload["series"]]
         assert names == ["theta=0.85", "theta=1.35"]
         for entry in payload["series"]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from srbosonic.errors import DomainError, NoCriticalPointError
+from srbosonic.errors import DomainError, NoCriticalPointError, SolverError
 from srbosonic.schemes import (
     ROOT_RESIDUAL_TOL,
     ClassicalScenario,
@@ -408,6 +408,14 @@ class TestForbiddenIntervalClassical:
         assert critical_sigma2_classical(s, 1.001 * iv.lo) > 0.0
         assert critical_sigma2_classical(s, 0.999 * iv.lo) < 0.0
 
+    @pytest.mark.parametrize("alpha_q, r", [(20000.0, 0.0), (1000.0, 3.0), (30.0, 10.0)])
+    def test_strong_signal_boundaries_are_the_levels(self, alpha_q, r):
+        # the roots sit near u = -(2m)^2 / K, -1.6e9 to -1.8e12 here, well
+        # within one float ulp of the levels
+        iv = forbidden_interval_classical(ClassicalScenario(eta=1.0, alpha_q=alpha_q, r=r))
+        assert (iv.lo, iv.hi) == (-alpha_q, alpha_q)
+        assert (iv.residual_lo, iv.residual_hi) == (0.0, 0.0)
+
     def test_weak_signal_boundaries_match_oracle(self):
         # The lower root lies ~1.6e8 out; the upper one, 1.4e-10 above the
         # level, has the ill-conditioned residual identity (|sigma*^2| ~ 1)
@@ -704,6 +712,13 @@ class TestDiscrimination:
         iv = forbidden_interval_discrimination(s)
         assert iv.lo <= math.sqrt(0.4) * 0.003 < math.sqrt(0.9) * 0.003 <= iv.hi
 
+    def test_strong_signal_boundaries_are_the_levels(self):
+        iv = forbidden_interval_discrimination(
+            DiscriminationScenario(eta0=0.99, eta1=0.01, alpha_q=50000.0)
+        )
+        assert (iv.lo, iv.hi) == (math.sqrt(0.01) * 50000.0, math.sqrt(0.99) * 50000.0)
+        assert (iv.residual_lo, iv.residual_hi) == (0.0, 0.0)
+
     def test_squeezed_interval_and_interior_max(self):
         s = disc_scenario(r=0.5)
         iv = forbidden_interval_discrimination(s)
@@ -761,6 +776,27 @@ class TestDiscrimination:
         assert success_discrimination(s, theta, crit) > success_discrimination(
             s, theta, 0.0
         )
+
+    # P_s still rising at sigma^2 = 1e6, with a positive sigma^2 -> inf limit
+    # of the slope sign (0.960162 and 2.103557)
+    @pytest.mark.parametrize("kw, theta", [
+        (dict(eta0=0.434, eta1=0.325, alpha_q=1.988, prior0=0.115, r=0.058,
+              noise_site="sender"), 1.06),
+        (dict(eta0=0.944, eta1=0.855, alpha_q=1.791, prior0=0.106, r=0.05), -1.23),
+    ])
+    def test_no_finite_optimum_raises_no_critical_point(self, kw, theta):
+        s = DiscriminationScenario(**kw)
+        with pytest.raises(NoCriticalPointError, match="no finite optimum"):
+            critical_sigma2_discrimination(s, theta)
+        assert success_discrimination(s, theta, 1e6) > success_discrimination(s, theta, 0.0)
+
+    def test_root_beyond_the_search_bound_stays_a_solver_error(self):
+        # the slope sign is still positive at sigma^2 = 1e6 but tends to
+        # -8.8e-8, so its root lies between 1e6 and 1e8: a real bracketing
+        # failure, not a missing optimum
+        s = DiscriminationScenario(eta0=0.894, eta1=0.566, alpha_q=2.425, r=0.274, prior0=0.582)
+        with pytest.raises(SolverError, match="search bound 1000000.0"):
+            critical_sigma2_discrimination(s, 3.486918)
 
     def test_far_onset_boundary_within_its_width(self):
         # Nearly equal transmissivities put the lower boundary near theta =
