@@ -35,8 +35,9 @@ from functools import partial
 from . import __version__
 from .errors import CutoffError, DomainError, NoCriticalPointError, SolverError
 from .private_rate import _chi_by_sigma, _rate, conjecture_probe
-from .qubit import QuantumCommParams, _cross_log_negativity, average_fidelity, pi_probs
+from .qubit import QuantumCommParams, _choi_log_negativity, average_fidelity
 from .schemes import (
+    SITE_SENDER,
     ClassicalScenario,
     DiscriminationScenario,
     EAScenario,
@@ -165,19 +166,23 @@ _FLAGS = {
 _DEFAULTS = {
     "format": "csv",
     "seed": 0,
-    "r": 0.0,
-    "prior0": 0.5,
     "prior-q": 0.5,
     "prior-p": 0.5,
-    "site": "receiver",
     "interval": False,
     "n": 1000000,
     # decoding thresholds do not enter the rectangle bounds themselves
     "theta-q": 0.0,
     "theta-p": 0.0,
+    # the scenario fields' own defaults; the types agree where they share a field
+    **{
+        flag: f.default
+        for cls, pairs in _SCENARIO_FLAGS.items()
+        for f, (_, flag) in zip(dataclasses.fields(cls), pairs)
+        if f.default is not dataclasses.MISSING
+    },
 }
 # the conjecture is about sender-site noise, so that is its default
-_COMMAND_DEFAULTS = {"probe-conjecture": {"site": "sender"}}
+_COMMAND_DEFAULTS = {"probe-conjecture": {"site": SITE_SENDER}}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -272,6 +277,11 @@ def _resolve(args: argparse.Namespace) -> dict:
         if not all(grid_given):
             raise ConfigError(f"{command}: grid-start, grid-stop, grid-step are required")
         cfg["grid"] = _build_grid(cfg["grid-start"], cfg["grid-stop"], cfg["grid-step"])
+        # every grid but interval's --vary is a σ axis, which starts at >= 0
+        if command != "interval" and cfg["grid-start"] < 0.0:
+            raise ConfigError(
+                f"{command}: sigma values must be finite and >= 0, got {cfg['grid-start']!r}"
+            )
     elif any(grid_given):
         raise ConfigError(f"{command}: grid flags are not accepted in this mode")
 
@@ -335,15 +345,7 @@ def _quantum_params(cfg: dict, theta: float, sigma: float) -> QuantumCommParams:
 
 
 def _negativity(cfg: dict, theta: float, sigma: float) -> float:
-    """log_negativity(choi_state(p)) without the 4x4 array.
-
-    The two 2x2 blocks of the partial transpose hold the entries that
-    ``choi_state`` writes: its diagonal, and the Bell coherence off it.
-    """
-    pl, pg = pi_probs(_quantum_params(cfg, theta, sigma))
-    return _cross_log_negativity(
-        (0.5 * (1.0 - pl), 0.5 * (1.0 - pg), 0.0), (0.5 * pg, 0.5 * pl, 0.5 * (1.0 - pl - pg))
-    )
+    return _choi_log_negativity(_quantum_params(cfg, theta, sigma))
 
 
 def _run_private(cfg: dict):

@@ -10,7 +10,8 @@ exp(G) = V diag(e^{−iλ}) V†, which is unitary on the retained block to
 machine precision; the 1e-8 unitarity check still runs on every result.
 What truncation actually degrades is the fidelity of the represented
 operation.  That is guarded where it matters: ``gaussian_to_fock``
-refuses a state whose thermal core drops a tail above 1e-12 or whose
+refuses a state whose thermal core drops a tail above 1e-12 (a cutoff
+below ``_thermal_cutoff``, which also sizes χ's Gram route) or whose
 moments miss the request by more than 1e-6 (its 1e-8 trace-deficit check
 guards unitarity only: a small cutoff does not trip it), and
 ``converged_fock_density`` returns the first build that passes, growing the
@@ -230,18 +231,32 @@ def squeeze_op(r: float, dim: int) -> FockOperator:
     return FockOperator(dim, _squeeze(r, *_ladder_arrays(dim)))
 
 
-def _thermal_weights(nbar: float, dim: int, *, gate: bool = True) -> np.ndarray:
-    """Thermal weights q^k/(n̄+1), q = n̄/(n̄+1), for k < dim, not renormalized.
+def _thermal_cutoff(nbar: float) -> float:
+    """Smallest K whose thermal tail q^K, q = n̄/(n̄+1), is at most 1e-12 (1 at n̄ = 0).
 
-    With ``gate`` a tail q^dim above 1e-12 is a CutoffError (the Gram route sets dim by it).
+    Past n̄ ≈ 1.8e16, q rounds to 1 and no cutoff passes: inf.
     """
+    ratio = nbar / (nbar + 1.0)
+    if not ratio < 1.0:
+        return math.inf
+    return math.ceil(math.log(THERMAL_TAIL_TOL) / math.log(ratio)) if ratio > 0.0 else 1
+
+
+def _thermal_weights(nbar: float, dim: int) -> np.ndarray:
+    """Thermal weights q^k/(n̄+1), q = n̄/(n̄+1), for k < dim, not renormalized or gated."""
     import numpy as np
 
     ratio = nbar / (nbar + 1.0)
-    tail = ratio**dim
-    if gate and tail > THERMAL_TAIL_TOL:
-        raise CutoffError(f"thermal tail {tail:.3e} at cutoff {dim} exceeds {THERMAL_TAIL_TOL:g}")
     return ratio ** np.arange(dim) / (nbar + 1.0)
+
+
+def _thermal_core(nbar: float, dim: int) -> np.ndarray:
+    """The thermal weights renormalized on k < dim; below the thermal cutoff, a CutoffError."""
+    if dim < _thermal_cutoff(nbar):
+        tail = (nbar / (nbar + 1.0)) ** dim
+        raise CutoffError(f"thermal tail {tail:.3e} at cutoff {dim} exceeds {THERMAL_TAIL_TOL:g}")
+    weights = _thermal_weights(nbar, dim)
+    return weights / weights.sum()
 
 
 def thermal_state(nbar: float, dim: int) -> FockDensity:
@@ -256,8 +271,7 @@ def thermal_state(nbar: float, dim: int) -> FockDensity:
     nbar = float(nbar)
     if not math.isfinite(nbar) or nbar < 0.0:
         raise DomainError(f"mean photon number must be finite and >= 0, got {nbar!r}")
-    weights = _thermal_weights(nbar, dim)
-    return FockDensity(dim, np.diag(weights / weights.sum()))
+    return FockDensity(dim, np.diag(_thermal_core(nbar, dim)))
 
 
 def symplectic_eigenvalue(g: GaussianStateOneMode) -> float:
@@ -304,8 +318,7 @@ def gaussian_to_fock(g: GaussianStateOneMode, dim: int) -> FockDensity:
 
     dim = _validate_dim(dim)
     nu = symplectic_eigenvalue(g)
-    weights = _thermal_weights(nu - 0.5, dim)
-    rho = np.diag((weights / weights.sum()).astype(complex))
+    rho = np.diag(_thermal_core(nu - 0.5, dim).astype(complex))
     a, adag = _ladder_arrays(dim)
     eigvals, eigvecs = np.linalg.eigh(g.cov / nu)
     s = 0.25 * math.log(eigvals[1] / eigvals[0])

@@ -11,7 +11,8 @@ moves exactly with I(A:B).
 χ needs the entropy of a two-component Gaussian mixture, which is not
 Gaussian; it is the spectrum of a closed-form Gram matrix of displaced
 number states (``_mixture_entropy``), while the component entropies use
-the closed form.  No Fock density is built.
+the closed form.  No Fock density is built, but the thermal index is cut
+where the Fock engine cuts it (``fock._thermal_cutoff``).
 
 χ never depends on the decoding threshold θ, and it depends on σ only
 through the eavesdropper's added variance σ_E² (σ² at the sender site, 0
@@ -32,6 +33,7 @@ from .fock import (
     THERMAL_TAIL_TOL,
     GaussianStateOneMode,
     _spectrum_entropy,
+    _thermal_cutoff,
     _thermal_weights,
     gaussian_entropy,
     symplectic_eigenvalue,
@@ -178,7 +180,7 @@ def _gram_entropy(nu: float, prior0: float, x: float, dim: int) -> float:
     """
     import numpy as np
 
-    weights = _thermal_weights(nu - 0.5, dim, gate=False)
+    weights = _thermal_weights(nu - 0.5, dim)
     root = np.sqrt(weights)
     gram = np.diag(np.concatenate((prior0 * weights, (1.0 - prior0) * weights)))
     gram[:dim, dim:] = math.sqrt(prior0 * (1.0 - prior0)) * (
@@ -199,7 +201,8 @@ def _mixture_entropy(e: EveEnsemble) -> float:
 
     Whitening the shared covariance (no entropy changes) makes component x
     D(β_x) τ D(β_x)†, τ thermal at n̄ = ν − ½, |β₁ − β₀|² = ν Δμᵀcov⁻¹Δμ/2.
-    The thermal index is cut at the smallest K with tail ε = q^K ≤ 1e-12;
+    The thermal index is cut at ``fock._thermal_cutoff``, the smallest K
+    with tail ε = q^K ≤ 1e-12, below which a Fock build is refused too;
     K > _GRAM_MAX_CUTOFF is a CutoffError before any matrix is built.  Error
     bound, by concavity and the mixing bound on ρ̄ = (1 − ε)·kept + ε·tail,
     the tail's entropy being at most h(p₀) + g(ν) (Audenaert's estimate,
@@ -209,8 +212,7 @@ def _mixture_entropy(e: EveEnsemble) -> float:
     import numpy as np
 
     nu = symplectic_eigenvalue(e.state0)
-    q = (nu - 0.5) / (nu + 0.5)
-    dim = math.ceil(math.log(THERMAL_TAIL_TOL) / math.log(q)) if q > 0.0 else 1
+    dim = _thermal_cutoff(nu - 0.5)
     if dim > _GRAM_MAX_CUTOFF:
         raise CutoffError(
             f"eavesdropper mixture needs thermal cutoff {dim} at n̄ = {nu - 0.5:.6g}, above "

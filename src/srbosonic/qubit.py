@@ -23,11 +23,11 @@ tracked through the Choi state and its logarithmic negativity.
 Qubit states and Choi states are plain complex numpy arrays (2x2 and 4x4);
 operations validate Hermiticity, unit trace, and positivity on the way in.
 numpy is imported inside the functions that build or read such arrays, so
-the leakage probabilities and the fidelity need none.  The Choi state's
-partial transpose splits into two 2x2 blocks, and the CLI's negativity
-curve evaluates them straight from ``pi_probs`` through
-``_cross_log_negativity``, the same closed form ``log_negativity`` uses
-on such states: array-free and bit-identical to
+the leakage probabilities and the fidelity need none.  ``choi_state`` and
+the CLI's negativity curve read the same five Choi entries; the curve
+(``_choi_log_negativity``) evaluates the two 2x2 blocks of their partial
+transpose through ``_cross_log_negativity``, the closed form
+``log_negativity`` uses on such states: array-free and bit-identical to
 ``log_negativity(choi_state(p))``.
 """
 
@@ -160,6 +160,12 @@ def critical_sigma2_quantum(p: QuantumCommParams) -> float:
     return 2.0 * p.theta * p.x0 / math.log((p.theta + p.x0) / (p.theta - p.x0))
 
 
+def _choi_entries(p: QuantumCommParams) -> tuple:
+    # choi_state's diagonal in basis order {00, 01, 10, 11}, then its Bell coherence
+    pl, pg = pi_probs(p)
+    return 0.5 * (1.0 - pl), 0.5 * pg, 0.5 * pl, 0.5 * (1.0 - pg), 0.5 * (1.0 - pl - pg)
+
+
 def choi_state(p: QuantumCommParams) -> np.ndarray:
     """Choi state of the channel: act on half of a Bell pair.
 
@@ -170,13 +176,9 @@ def choi_state(p: QuantumCommParams) -> np.ndarray:
     """
     import numpy as np
 
-    pl, pg = pi_probs(p)
-    c = np.zeros((4, 4), dtype=complex)
-    c[0, 0] = 0.5 * (1.0 - pl)
-    c[1, 1] = 0.5 * pg
-    c[2, 2] = 0.5 * pl
-    c[3, 3] = 0.5 * (1.0 - pg)
-    c[0, 3] = c[3, 0] = 0.5 * (1.0 - pl - pg)
+    *diagonal, coherence = _choi_entries(p)
+    c = np.diag(np.array(diagonal, dtype=complex))
+    c[0, 3] = c[3, 0] = coherence
     return c
 
 
@@ -185,6 +187,13 @@ def _two_by_two_eigs(a: float, d: float, b: complex) -> tuple:
     half_sum = 0.5 * (a + d)
     radius = math.hypot(0.5 * (a - d), abs(b))
     return half_sum - radius, half_sum + radius
+
+
+def _choi_log_negativity(p: QuantumCommParams) -> float:
+    # log_negativity(choi_state(p)) bit for bit, without the array: the
+    # partial transpose moves the coherence from the (0,3) corner to (1,2)
+    d00, d01, d10, d11, coherence = _choi_entries(p)
+    return _cross_log_negativity((d00, d11, 0.0), (d01, d10, coherence))
 
 
 def _cross_log_negativity(outer: tuple, inner: tuple) -> float:

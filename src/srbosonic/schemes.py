@@ -36,13 +36,15 @@ so the large (theta - a_x)^2 / (2 v_x) never cancel, and log1p(gap / d),
 a softplus of ln gap - u, evaluates even where d underflows.  With one
 shared noise floor K (v = K / 2: each quadrature of the symmetric
 schemes, receiver-site discrimination at r = 0 with K = 1), dv = 0 and g
-rises strictly in u from negative inside the interval; each boundary
-bisects it in u within the fixed bounds [-1e300, ln 1e300].  Below the
-near level g(u) ~ gap^2 / K - ln gap + u, so a strong signal's root sits
-near u = -gap^2 / K; only gap^2 / K beyond about 1e300 puts it out of
-bounds, which raises SolverError.  Discrimination takes gap = alpha (eta0
-- eta1) / (sqrt(eta0) + sqrt(eta1)), free of the cancellation in a0 - a1;
-no log prior ratio rounds p0 through 1 - p0.  The critical variance then
+rises strictly in u from negative inside the interval.  For all three,
+_two_level_interval bisects it in u beyond each level within the fixed
+bounds [-1e300, ln 1e300]; _has_closed_form is the one test that sends
+a discrimination scenario there.  Below the near level g(u) ~ gap^2 /
+K - ln gap + u, so a strong signal's root sits near u = -gap^2 / K;
+only gap^2 / K beyond about 1e300 puts it out of bounds, which raises
+SolverError.  Discrimination takes gap = alpha (eta0 - eta1) /
+(sqrt(eta0) + sqrt(eta1)), free of the cancellation in a0 - a1; no log
+prior ratio rounds p0 through 1 - p0.  The critical variance then
 has the closed form sigma*^2 = (a1 - a0) (2 theta - (a0 + a1)) / ln R -
 K, R = p0 (theta - a0) / (p1 (theta - a1)), which at theta = near +- t is
 K^2 g / (gap (gap + 2 t) - K g): the residual fields report it.
@@ -379,6 +381,11 @@ def _discrimination_gap(s: DiscriminationScenario) -> float:
     return s.alpha_q * (s.eta0 - s.eta1) / (math.sqrt(s.eta0) + math.sqrt(s.eta1))
 
 
+def _has_closed_form(s: DiscriminationScenario) -> bool:
+    # receiver-site noise at r = 0, so both hypotheses share the noise floor 1
+    return s.r == 0.0 and s.noise_site == SITE_RECEIVER
+
+
 def _discrimination_variances(s: DiscriminationScenario, sigma2: float) -> tuple:
     return tuple(
         _total_variance(_noise_floor_classical(eta, s.r), eta, s.noise_site, sigma2)
@@ -485,7 +492,7 @@ def critical_sigma2_discrimination(s: DiscriminationScenario, theta: float) -> f
     """
     theta = _finite("theta", theta)
     _check_solvable(s.prior0, s.alpha_q, "critical noise level")
-    if s.r > 0.0 or s.noise_site == SITE_SENDER:
+    if not _has_closed_form(s):
         g0 = _onset_sign(s, theta)
         if g0 <= 0.0:
             return -1.0
@@ -620,13 +627,18 @@ def _boundary_root(near: float, gap: float, side: int, lw: float, k: float) -> t
     return near + side * t, abs(k * k * g_val / den)
 
 
+def _two_level_interval(lo: float, hi: float, gap: float, lw: float, k: float) -> ForbiddenInterval:
+    # Closed form: levels lo < hi lie gap apart on the noise floor k, lw =
+    # ln(p_hi / p_lo), and the far level of each boundary is the other one.
+    theta_hi, res_hi = _boundary_root(hi, gap, +1, lw, k)
+    theta_lo, res_lo = _boundary_root(lo, gap, -1, -lw, k)
+    return ForbiddenInterval(lo=theta_lo, hi=theta_hi, residual_lo=res_lo, residual_hi=res_hi)
+
+
 def _symmetric_interval(m: float, k: float, prior0: float) -> ForbiddenInterval:
-    # Levels -m (prior0) and +m: the far level of the upper boundary is -m.
+    # Levels -m (prior0) and +m.
     _check_solvable(prior0, m, "forbidden interval")
-    lw = _log_odds(prior0)
-    hi, res_hi = _boundary_root(m, 2.0 * m, +1, -lw, k)
-    lo, res_lo = _boundary_root(-m, 2.0 * m, -1, lw, k)
-    return ForbiddenInterval(lo=lo, hi=hi, residual_lo=res_lo, residual_hi=res_hi)
+    return _two_level_interval(-m, m, 2.0 * m, -_log_odds(prior0), k)
 
 
 def forbidden_interval_classical(s: ClassicalScenario) -> ForbiddenInterval:
@@ -689,16 +701,11 @@ def forbidden_interval_discrimination(s: DiscriminationScenario) -> ForbiddenInt
     1e-6 (reported in the residual fields).
     """
     _check_solvable(s.prior0, s.alpha_q, "forbidden interval")
-    if s.r > 0.0 or s.noise_site == SITE_SENDER:
+    if not _has_closed_form(s):
         return _interval_by_onset_sign(s)
-    # Levels a0 (prior0) > a1 on the noise floor 1: the far level of the
-    # upper boundary is a1.
+    # Levels a0 (prior0) > a1 on the noise floor 1.
     a0, a1 = _discrimination_levels(s)
-    gap = _discrimination_gap(s)
-    lw = _log_odds(s.prior0)
-    hi, res_hi = _boundary_root(a0, gap, +1, lw, 1.0)
-    lo, res_lo = _boundary_root(a1, gap, -1, -lw, 1.0)
-    return ForbiddenInterval(lo=lo, hi=hi, residual_lo=res_lo, residual_hi=res_hi)
+    return _two_level_interval(a1, a0, _discrimination_gap(s), _log_odds(s.prior0), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ tests pin the output schema as well as the numbers.
 """
 
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -369,6 +370,37 @@ class TestConfigFile:
         assert code == 2
 
 
+class TestDefaults:
+    def test_scenario_field_defaults_are_the_flag_defaults(self):
+        # so scenario types that share a field must agree on its default
+        seen = set()
+        for cls, pairs in cli._SCENARIO_FLAGS.items():
+            for field, (_, flag) in zip(dataclasses.fields(cls), pairs):
+                if field.default is not dataclasses.MISSING:
+                    assert cli._DEFAULTS[flag] == field.default
+                    seen.add(flag)
+        assert seen == {"r", "prior0", "site"}
+
+    def test_omitted_flags_take_the_scenario_defaults(self):
+        code, out, _ = run_cli([
+            "discriminate", "--eta0", "0.9", "--eta1", "0.4", "--alpha-q", "1.5",
+            "--interval", "--format", "json",
+        ])
+        assert code == 0
+        parameters = json.loads(out)["meta"]["parameters"]
+        want = DiscriminationScenario(eta0=0.9, eta1=0.4, alpha_q=1.5)
+        assert (parameters["r"], parameters["prior0"], parameters["site"]) == (
+            want.r, want.prior0, want.noise_site
+        )
+
+    def test_probe_defaults_to_the_sender_site(self):
+        argv = ["--eta", "0.8", "--alpha-q", "1", "--theta", "0", "--format", "json",
+                "--grid-start", "0", "--grid-stop", "0.2", "--grid-step", "0.1"]
+        code, out, _ = run_cli(["probe-conjecture"] + argv)
+        assert code == 0
+        assert json.loads(out)["meta"]["parameters"]["site"] == "sender"
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self):
         code, _, _ = run_cli(["bogus"])
@@ -432,6 +464,16 @@ class TestExitCodes:
         assert "thermal cutoff 1242" in err
         assert "limit 1024" in err
 
+    def test_chi_past_any_cutoff_maps_to_3(self):
+        # sigma = 1e17 puts n-bar near 4.5e16, where q = n-bar/(n-bar + 1)
+        # rounds to 1: no thermal cutoff exists, which once divided by zero
+        code, out, err = run_cli([
+            "private", "--eta", "0.8", "--alpha-q", "1", "--site", "sender", "--theta", "0",
+            "--grid-start", "1e17", "--grid-stop", "2e17", "--grid-step", "1e17",
+        ])
+        assert (code, out) == (3, "")
+        assert "needs thermal cutoff inf" in err
+
     DISCRIMINATE_CONFIG = (
         "eta0 = 0.9\neta1 = 0.4\nalpha-q = 1.5\ntheta = 2.0\n"
         "grid-start = 0\ngrid-stop = 1\ngrid-step = 0.5\n"
@@ -455,6 +497,34 @@ class TestExitCodes:
         code, out, err = run_cli(argv)
         assert code == want_code
         assert fragment in (out if want_code == 0 else err)
+
+    @pytest.mark.parametrize("command, flags", [
+        ("sweep", ["--eta", "0.8", "--alpha-q", "1", "--theta", "1"]),
+        ("discriminate", ["--eta0", "0.9", "--eta1", "0.4", "--alpha-q", "1.5", "--theta", "2"]),
+        ("fidelity", ["--x0", "0.3", "--theta", "0.2"]),
+        ("negativity", ["--x0", "0.3", "--theta", "0.2"]),
+        ("private", ["--eta", "0.8", "--alpha-q", "1", "--theta", "0"]),
+        ("probe-conjecture", ["--eta", "0.8", "--alpha-q", "1", "--theta", "0"]),
+        ("mc-check", ["--eta", "0.8", "--alpha-q", "1", "--theta", "0.6", "--n", "100"]),
+    ])
+    def test_negative_sigma_grid_rejected(self, command, flags):
+        # every σ axis follows the library's rule for σ grids, with the
+        # message conjecture_probe gives
+        code, out, err = run_cli([command] + flags + [
+            "--grid-start", "-0.2", "--grid-stop", "1", "--grid-step", "0.5",
+        ])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {command}: sigma values must be finite and >= 0, got -0.2\n"
+
+    def test_vary_grid_is_not_a_sigma_grid(self):
+        # interval --vary walks r or alpha-q, which their scenario checks
+        code, _, err = run_cli([
+            "interval", "--eta", "0.8", "--alpha-q", "1", "--vary", "r",
+            "--grid-start", "-0.2", "--grid-stop", "1", "--grid-step", "0.5",
+        ])
+        assert code == 2
+        assert err == "error: interval: r must be >= 0, got -0.2\n"
 
     @pytest.mark.parametrize("step", ["1e-320", "1e-300"])
     def test_oversize_grid_rejected_before_building(self, step):

@@ -527,6 +527,33 @@ class TestThermalTailCertificate:
         assert h2(1e-12) / (1.0 - 1e-12) < 4.2e-11
 
 
+class TestThermalCutoff:
+    """The one thermal truncation rule: the Fock gate and the Gram route read it."""
+
+    def test_smallest_cutoff_whose_tail_passes(self):
+        rng = np.random.default_rng(5)
+        for nbar in 10.0 ** rng.uniform(-12, 3, 20000):
+            nbar = float(nbar)
+            k = fock_module._thermal_cutoff(nbar)
+            q = nbar / (nbar + 1.0)
+            assert q**k <= 1e-12 < q ** (k - 1)
+
+    def test_vacuum_needs_one_level(self):
+        assert fock_module._thermal_cutoff(0.0) == 1
+
+    def test_no_cutoff_once_q_rounds_to_one(self):
+        # n-bar 1e17: q = 1 in floating point, where a log ratio would divide by 0
+        assert fock_module._thermal_cutoff(1e17) == math.inf
+        with pytest.raises(CutoffError, match="thermal tail 1.000e\\+00 at cutoff 10"):
+            thermal_state(1e17, 10)
+
+    def test_builds_refuse_one_level_less(self):
+        k = fock_module._thermal_cutoff(2.3)
+        assert thermal_state(2.3, k).dim == k
+        with pytest.raises(CutoffError, match=f"at cutoff {k - 1} exceeds 1e-12"):
+            thermal_state(2.3, k - 1)
+
+
 class TestCutoffCeiling:
     """No cutoff above MAX_CUTOFF gets as far as a dim x dim array."""
 
