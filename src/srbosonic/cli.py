@@ -7,10 +7,15 @@ written in shortest round-trip decimal form, so identical invocations
 produce byte-identical files and emitted files re-emit to themselves
 after parsing.
 
+Every grid but ``interval --vary``'s is a σ axis, held to the library's
+σ-grid rule (``errors._sigma_grid``) before any point runs; σ is squared
+once per point, in ``_theta_series`` and in mc-check's job list.
+
 Exit codes: 0 success, 2 invalid configuration (bad flag, bad value,
-unknown config key, a grid or sample count above its ceiling), 3 numeric
-failure (solver or cutoff error; the message carries the failing
-operation and its residual or limit).
+unknown config key, a grid or sample count above its ceiling, a
+``DomainError`` from the library), 3 numeric failure (solver or cutoff
+error; the message carries the failing operation and its residual or
+limit).
 
 A config file holds flat ``key = value`` lines (``#`` comments allowed)
 using the long flag names; command-line flags override file values.
@@ -33,8 +38,8 @@ import sys
 from functools import partial
 
 from . import __version__
-from .errors import CutoffError, DomainError, NoCriticalPointError, SolverError
-from .private_rate import _chi_by_sigma, _rate, conjecture_probe
+from .errors import CutoffError, DomainError, SolverError, _sigma_grid
+from .private_rate import _chi_by_sigma2, _rate, conjecture_probe
 from .qubit import QuantumCommParams, _choi_log_negativity, average_fidelity
 from .schemes import (
     SITE_SENDER,
@@ -277,11 +282,12 @@ def _resolve(args: argparse.Namespace) -> dict:
         if not all(grid_given):
             raise ConfigError(f"{command}: grid-start, grid-stop, grid-step are required")
         cfg["grid"] = _build_grid(cfg["grid-start"], cfg["grid-stop"], cfg["grid-step"])
-        # every grid but interval's --vary is a σ axis, which starts at >= 0
-        if command != "interval" and cfg["grid-start"] < 0.0:
-            raise ConfigError(
-                f"{command}: sigma values must be finite and >= 0, got {cfg['grid-start']!r}"
-            )
+        # every grid but interval's --vary is a σ axis, held to the library's σ-grid rule
+        if command != "interval":
+            try:
+                _sigma_grid(cfg["grid"])
+            except DomainError as exc:
+                raise ConfigError(f"{command}: {exc}") from exc
     elif any(grid_given):
         raise ConfigError(f"{command}: grid flags are not accepted in this mode")
 
@@ -316,47 +322,35 @@ def _fmt(value: float) -> str:
 
 def _point_mc(scenario: ClassicalScenario, theta: float, n: int, job: tuple) -> tuple:
     # module level so ProcessPoolExecutor can pickle it
-    sigma, seed = job
-    sigma2 = sigma * sigma
+    sigma2, seed = job
     analytic = success_classical(scenario, theta, sigma2)
     estimate = mc_success_probability(_classical_spec(scenario, theta, sigma2), n, seed)
     return analytic, estimate.estimate, estimate.std_error
 
 
 def _theta_series(cfg: dict, point):
-    """One series per θ of point(theta, sigma) over the σ grid."""
+    """One series per θ of point(theta, σ²) over the σ grid: the runners' one σ → σ² step."""
     grid = cfg["grid"]
+    sigma2s = [sigma * sigma for sigma in grid]
     series = [
-        (f"theta={_fmt(theta)}", [point(theta, sigma) for sigma in grid])
+        (f"theta={_fmt(theta)}", [point(theta, sigma2) for sigma2 in sigma2s])
         for theta in cfg["theta"]
     ]
     return "sigma", grid, series
 
 
-def _run_sweep(cfg: dict):
-    scenario = _scenario(ClassicalScenario, cfg)
+def _run_quantum(cfg: dict, quantity):
+    """quantity(QuantumCommParams) per θ over the σ grid: fidelity or negativity."""
     return _theta_series(
-        cfg, lambda theta, sigma: success_classical(scenario, theta, sigma * sigma)
+        cfg, lambda theta, sigma2: quantity(QuantumCommParams(cfg["x0"], theta, sigma2))
     )
-
-
-def _quantum_params(cfg: dict, theta: float, sigma: float) -> QuantumCommParams:
-    return QuantumCommParams(x0=cfg["x0"], theta=theta, sigma2=sigma * sigma)
-
-
-def _negativity(cfg: dict, theta: float, sigma: float) -> float:
-    return _choi_log_negativity(_quantum_params(cfg, theta, sigma))
 
 
 def _run_private(cfg: dict):
     """χ once per distinct σ_E², shared by every θ's I(A:B) − χ series."""
     base = _scenario(ClassicalScenario, cfg)
-    grid = cfg["grid"]
-    chis = _chi_by_sigma(base, grid)
-    chi_at = dict(zip(grid, chis))
-    return _theta_series(
-        cfg, lambda theta, sigma: _rate(base, theta, sigma * sigma, chi_at[sigma])
-    )
+    chi_at = _chi_by_sigma2(base, cfg["grid"])
+    return _theta_series(cfg, lambda theta, sigma2: _rate(base, theta, sigma2, chi_at[sigma2]))
 
 
 _INTERVAL_NAMES = ("theta_minus", "theta_plus", "residual_minus", "residual_plus")
@@ -398,9 +392,7 @@ def _run_discriminate(cfg: dict):
     scenario = _scenario(DiscriminationScenario, cfg)
     if cfg["interval"]:
         return None, None, _interval_series([forbidden_interval_discrimination(scenario)])
-    return _theta_series(
-        cfg, lambda theta, sigma: success_discrimination(scenario, theta, sigma * sigma)
-    )
+    return _theta_series(cfg, partial(success_discrimination, scenario))
 
 
 def _run_probe(cfg: dict):
@@ -415,7 +407,7 @@ def _run_probe(cfg: dict):
 
 def _run_mc_check(cfg: dict):
     point = partial(_point_mc, _scenario(ClassicalScenario, cfg), cfg["theta"], cfg["n"])
-    jobs = [(sigma, cfg["seed"] + index) for index, sigma in enumerate(cfg["grid"])]
+    jobs = [(sigma * sigma, cfg["seed"] + index) for index, sigma in enumerate(cfg["grid"])]
     # a fork-started pool launches every worker up front, so never ask for
     # more than there are points or cores
     workers = min(cfg["parallel"], len(jobs), os.cpu_count() or 1)
@@ -433,14 +425,15 @@ def _run_mc_check(cfg: dict):
 
 
 _RUNNERS = {
-    "sweep": _run_sweep,
+    "sweep": lambda cfg: _theta_series(
+        cfg, partial(success_classical, _scenario(ClassicalScenario, cfg))
+    ),
     "interval": _run_interval,
     "rectangle": _run_rectangle,
     "discriminate": _run_discriminate,
-    "fidelity": lambda cfg: _theta_series(
-        cfg, lambda theta, sigma: average_fidelity(_quantum_params(cfg, theta, sigma))
-    ),
-    "negativity": lambda cfg: _theta_series(cfg, partial(_negativity, cfg)),
+    # each runner reads its layer function when it runs, so a rebound name takes effect
+    "fidelity": lambda cfg: _run_quantum(cfg, average_fidelity),
+    "negativity": lambda cfg: _run_quantum(cfg, _choi_log_negativity),
     "private": _run_private,
     "probe-conjecture": _run_probe,
     "mc-check": _run_mc_check,
@@ -515,7 +508,7 @@ def main(argv=None) -> int:
         # bad parameter combinations surface from constructors here
         print(f"error: {cfg['command']}: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, CutoffError, NoCriticalPointError) as exc:
+    except (SolverError, CutoffError) as exc:
         print(f"error: {cfg['command']} failed: {exc}", file=sys.stderr)
         return 3
     text = _render(cfg, x_name, x_values, series)

@@ -64,14 +64,14 @@ def _prior(name: str, value) -> float:
     return x
 
 
-def _sigma_grid(values, entries: str = "sigma_grid entries") -> tuple:
-    """The σ grid as floats: non-empty, each finite and >= 0, strictly increasing."""
-    grid = tuple(_real(entries, x) for x in values)
+def _sigma_grid(values) -> tuple:
+    """The one σ-axis rule, as floats: non-empty, each finite and >= 0, strictly increasing."""
+    grid = tuple(_real("sigma values", x) for x in values)
     if not grid:
         raise DomainError("sigma_grid must be non-empty")
     for x in grid:
         if not (math.isfinite(x) and x >= 0.0):
-            raise DomainError(f"{entries} must be finite and >= 0, got {x!r}")
+            raise DomainError(f"sigma values must be finite and >= 0, got {x!r}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("sigma_grid must be strictly increasing")
     return grid

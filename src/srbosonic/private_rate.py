@@ -17,7 +17,7 @@ where the Fock engine cuts it (``fock._thermal_cutoff``).
 χ never depends on the decoding threshold θ, and it depends on σ only
 through the eavesdropper's added variance σ_E² (σ² at the sender site, 0
 at the receiver site).  A rate over a σ grid therefore computes χ once
-per distinct σ_E² (``_chi_by_sigma``) and shares it across every θ; the
+per distinct σ_E² (``_chi_by_sigma2``) and shares it across every θ; the
 rate value I(A:B) − χ itself is written once, in ``_rate``.
 """
 
@@ -248,18 +248,21 @@ def _rate(base: ClassicalScenario, theta: float, sigma2: float, chi: float) -> f
     return mutual_information(classical_channel(base, theta, sigma2), base.prior0) - chi
 
 
-def _chi_by_sigma(s: ClassicalScenario | PrivateScenario, sigmas) -> list:
-    """χ at each σ of the grid, one ``holevo_chi`` per distinct σ_E².
-
-    σ_E² is σ² at the sender site and 0 at the receiver site, where the
-    whole grid shares a single χ.
-    """
+def _chi_by_sigma2(s: ClassicalScenario | PrivateScenario, sigmas) -> dict:
+    """σ² → χ over a σ grid, one ``holevo_chi`` per distinct σ_E² (0 at the receiver site)."""
     base = _base(s)
     sender = base.noise_site == SITE_SENDER
-    keys = [sig * sig if sender else 0.0 for sig in sigmas]
+    sigma2s = [sig * sig for sig in sigmas]
     # largest σ_E² (largest cutoff) first, so a grid past the χ ceiling fails at once
-    chi_at = {key: holevo_chi(eve_ensemble(base, key)) for key in sorted(set(keys), reverse=True)}
-    return [chi_at[key] for key in keys]
+    keys = sorted({s2 if sender else 0.0 for s2 in sigma2s}, reverse=True)
+    chi_at = {key: holevo_chi(eve_ensemble(base, key)) for key in keys}
+    return {s2: chi_at[s2 if sender else 0.0] for s2 in sigma2s}
+
+
+def _chi_by_sigma(s: ClassicalScenario | PrivateScenario, sigmas) -> list:
+    """χ at each σ of the grid, in grid order (``_chi_by_sigma2``)."""
+    chi_at = _chi_by_sigma2(s, sigmas)
+    return [chi_at[sig * sig] for sig in sigmas]
 
 
 def private_rate(s: PrivateScenario, sigma2: float) -> float:
@@ -294,11 +297,10 @@ def conjecture_probe(s: ClassicalScenario | PrivateScenario, theta_list, sigma_g
     base = _base(s)
     if base.noise_site != SITE_SENDER:
         raise DomainError("conjecture_probe requires sender-site noise")
-    thetas, sigmas = tuple(theta_list), tuple(sigma_grid)
-    if not thetas or not sigmas:
-        raise DomainError("theta_list and sigma_grid must be non-empty")
-    thetas = tuple(_finite("theta values", theta) for theta in thetas)
-    sigmas = _sigma_grid(sigmas, "sigma values")
+    thetas = tuple(_finite("theta values", theta) for theta in theta_list)
+    if not thetas:
+        raise DomainError("theta_list must be non-empty")
+    sigmas = _sigma_grid(sigma_grid)
 
     chi_by_sigma = _chi_by_sigma(base, sigmas)
 

@@ -49,13 +49,15 @@ has the closed form sigma*^2 = (a1 - a0) (2 theta - (a0 + a1)) / ln R -
 K, R = p0 (theta - a0) / (p1 (theta - a1)), which at theta = near +- t is
 K^2 g / (gap (gap + 2 t) - K g): the residual fields report it.
 Squeezed or sender-site discrimination has no closed form: its interval
-bisects g(theta, 0) over theta, its critical variance is -1.0 wherever
-g(theta, 0) <= 0, and otherwise the zero of g(theta, sigma^2) in
-sigma^2, bisected to float resolution; where g stays positive up to the
-search bound and its sigma^2 -> inf limit ln(p0 / p1) - ln(c0 / c1) / 2
-+ ln(|theta - a0| / |theta - a1|) (negated below a1) is positive, P_s
-keeps rising and has no finite optimum.  One bracket-and-bisect helper
-finds every root.
+bisects g(theta, 0) over theta, stepping out from each level in doubling
+steps up to the |theta - level| = 1e300 of the u bounds (a side with no
+sign change walks about a thousand steps, then raises SolverError).  Its
+critical variance is -1.0 wherever g(theta, 0) <= 0, and otherwise the
+zero of g(theta, sigma^2) in sigma^2, bisected to float resolution;
+where g stays positive up to the search bound and its sigma^2 -> inf
+limit ln(p0 / p1) - ln(c0 / c1) / 2 + ln(|theta - a0| / |theta - a1|)
+(negated below a1) is positive, P_s keeps rising and has no finite
+optimum.  One bracket-and-bisect helper finds every root.
 
 The residual is limited by conditioning, not by the solver: u is bisected
 to 1e-14, and the identity divides the rounding of g by gap (gap + 2 t).
@@ -677,13 +679,12 @@ def forbidden_rectangle(s: EAScenario) -> ForbiddenRectangle:
 def _interval_by_onset_sign(s: DiscriminationScenario) -> ForbiddenInterval:
     # No closed form: bisect the exact onset sign over theta on each side.
     a0, a1 = _discrimination_levels(s)
-    cap = 1e6 * max(s.alpha_q, 1.0)
     onset = partial(_onset_sign, s)
     lo, hi = (
         _bracket_and_bisect(
             onset, level, onset(level), bound, 0.125, xtol=_THETA_WIDTH_TOL, maxit=200
         )
-        for level, bound in ((a1, -cap), (a0, cap))
+        for level, bound in ((a1, -1e300), (a0, 1e300))
     )
     return ForbiddenInterval(lo, hi, _THETA_WIDTH_TOL, _THETA_WIDTH_TOL)
 

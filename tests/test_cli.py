@@ -498,7 +498,7 @@ class TestExitCodes:
         assert code == want_code
         assert fragment in (out if want_code == 0 else err)
 
-    @pytest.mark.parametrize("command, flags", [
+    SIGMA_COMMANDS = pytest.mark.parametrize("command, flags", [
         ("sweep", ["--eta", "0.8", "--alpha-q", "1", "--theta", "1"]),
         ("discriminate", ["--eta0", "0.9", "--eta1", "0.4", "--alpha-q", "1.5", "--theta", "2"]),
         ("fidelity", ["--x0", "0.3", "--theta", "0.2"]),
@@ -507,6 +507,8 @@ class TestExitCodes:
         ("probe-conjecture", ["--eta", "0.8", "--alpha-q", "1", "--theta", "0"]),
         ("mc-check", ["--eta", "0.8", "--alpha-q", "1", "--theta", "0.6", "--n", "100"]),
     ])
+
+    @SIGMA_COMMANDS
     def test_negative_sigma_grid_rejected(self, command, flags):
         # every σ axis follows the library's rule for σ grids, with the
         # message conjecture_probe gives
@@ -516,6 +518,28 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == f"error: {command}: sigma values must be finite and >= 0, got -0.2\n"
+
+    @SIGMA_COMMANDS
+    def test_repeated_sigma_grid_rejected(self, command, flags):
+        # a step below the float spacing at the start rounds several grid
+        # points onto one σ; the same rule refuses it on every σ axis
+        code, out, err = run_cli([command] + flags + [
+            "--grid-start", "1e17", "--grid-stop", "1.0000000000000002e17", "--grid-step", "1",
+        ])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {command}: sigma_grid must be strictly increasing\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--alpha-q", "0"], "zero signal amplitude: no forbidden interval"),
+        (["--alpha-q", "1", "--prior0", "1"], "degenerate prior"),
+    ])
+    def test_no_critical_point_maps_to_2(self, flags, message):
+        # NoCriticalPointError is a DomainError: a bad parameter, not a
+        # numeric failure
+        code, out, err = run_cli(["interval", "--eta", "0.8"] + flags)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: interval: {message}")
 
     def test_vary_grid_is_not_a_sigma_grid(self):
         # interval --vary walks r or alpha-q, which their scenario checks

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from srbosonic import cli
 from srbosonic.errors import DomainError, NoCriticalPointError
 from srbosonic.qubit import (
     QuantumCommParams,
+    _choi_log_negativity,
     _cross_log_negativity,
     apply_channel,
     average_fidelity,
@@ -268,7 +268,7 @@ class TestLogNegativity:
             )
             want = log_negativity(choi_state(p))
             assert _cross_log_negativity(*blocks) == want
-            assert cli._negativity({"x0": x0}, theta, sigma) == want
+            assert _choi_log_negativity(p) == want
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(41)

@@ -14,6 +14,7 @@ from srbosonic.schemes import (
     ClassicalScenario,
     DiscriminationScenario,
     EAScenario,
+    _onset_sign,
     classical_channel,
     classical_total_variance,
     critical_sigma2_classical,
@@ -808,6 +809,18 @@ class TestDiscrimination:
         )
         iv = forbidden_interval_discrimination(s)
         assert abs(iv.lo - -37936.368521697215406) <= iv.residual_lo
+
+    def test_weak_signal_onset_boundary_far_past_the_amplitude(self):
+        # the sender-site twin of the near-equal receiver scenario: its lower
+        # boundary sits near theta = -1.27e6, about 1.2e8 amplitudes out,
+        # and the onset sign changes across it within the bisection width
+        s = DiscriminationScenario(
+            eta0=0.6807643, eta1=0.6806803, alpha_q=0.0103052, prior0=0.7906555,
+            noise_site="sender",
+        )
+        iv = forbidden_interval_discrimination(s)
+        assert iv.lo == pytest.approx(-1266705.73, abs=0.01)
+        assert _onset_sign(s, iv.lo - 1e-6) > 0.0 > _onset_sign(s, iv.lo + 1e-6)
 
     def test_squeezing_trend_matches_classical_behavior(self):
         widths = []
