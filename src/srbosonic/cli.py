@@ -58,8 +58,9 @@ from .threshold import mc_success_probability
 ENV_PARALLEL = "SRBOSONIC_PARALLEL"
 
 # Request ceilings, checked before anything is allocated.  The densest
-# benchmark grid has 3001 points; mc-check's default is 10^6 samples, and
-# 10^8 already take about 0.9 GB at the first draw.
+# benchmark grid has 3001 points; mc-check's default is 10^6 samples.  Its
+# memory is one block whatever n, but a point costs about 45 ms per 10^6
+# samples (2 vCPU), so about 4.5 s a point at 10^8.
 _MAX_GRID_POINTS = 10**6
 _MAX_MC_SAMPLES = 10**8
 

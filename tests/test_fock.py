@@ -443,9 +443,12 @@ class TestOneAcceptedBuild:
         g = GaussianStateOneMode((0.0, 0.0), [[math.exp(-2 * r) / 2, 0.0], [0.0, math.exp(2 * r) / 2]])
         rho = converged_fock_density(g)
         dims = [dim for dim, _ in builds]
-        assert dims == cutoff_ladder(suggest_cutoff(g))[: len(builds)]
+        # the start reads the squeezed variance e^{2r}/2: 20 + 20 * 5.51
+        # rounds up to 131, accepted at once (from suggest_cutoff's 30 the
+        # ladder was rejected five times)
+        assert dims == cutoff_ladder(131)[: len(builds)]
         assert [accepted for _, accepted in builds] == [False] * (len(builds) - 1) + [True]
-        assert len(builds) > 1
+        assert len(builds) == 1
         assert rho.dim == dims[-1]
 
     def test_start_above_max_cutoff_builds_nothing(self, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the qubit-over-bosonic-mode channel."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,6 +282,25 @@ class TestLogNegativity:
             assert 0.0 <= log_negativity(choi_state(p)) <= 1.0 + 1e-12
 
 
+def one_shot_haar_fidelity(p, n, seed):
+    # the single-draw form of the oracle: one (n, 4) draw, then np.mean
+    # and np.std(ddof=1)
+    g = np.random.Generator(np.random.Philox(seed)).standard_normal((n, 4))
+    z = g[:, 0] + 1j * g[:, 1]
+    w = g[:, 2] + 1j * g[:, 3]
+    pa = np.abs(z) ** 2 / (np.abs(z) ** 2 + np.abs(w) ** 2)
+    pb = 1.0 - pa
+    pl, pg = pi_probs(p)
+    f = (
+        pa**2 * (1.0 - pl)
+        + pb**2 * (1.0 - pg)
+        + pa * pb * (pl + pg)
+        + 2.0 * pa * pb * (1.0 - pl - pg)
+    )
+    se = float(np.std(f, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(f)), se
+
+
 class TestHaarOracle:
     def test_identity_parameters(self):
         est = haar_fidelity_oracle(params(theta=0.0, sigma2=0.0), 1000, seed=1)
@@ -295,6 +315,26 @@ class TestHaarOracle:
     def test_rejects_zero_samples(self):
         with pytest.raises(DomainError):
             haar_fidelity_oracle(params(), 0, seed=1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16383, 16384, 16385, 40000, 10**5])
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_blocks_match_one_shot_mean_and_deviation(self, n, seed):
+        p = params(theta=0.4, sigma2=0.3)
+        est = haar_fidelity_oracle(p, n, seed)
+        want, want_se = one_shot_haar_fidelity(p, n, seed)
+        assert est.estimate == pytest.approx(want, rel=1e-12)
+        assert est.std_error == pytest.approx(want_se, rel=1e-12)
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        # the one-shot draw holds 99 MB of normals and complex
+        # temporaries at n = 10**6; block by block it is one block
+        tracemalloc.start()
+        try:
+            haar_fidelity_oracle(params(), 10**6, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestResonanceRegion:

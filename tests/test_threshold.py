@@ -259,7 +259,7 @@ def one_shot_mc_estimate(spec, n, seed):
 
 
 class TestMonteCarloBlocks:
-    @pytest.mark.parametrize("n", [1, 65535, 65536, 65537, 200003])
+    @pytest.mark.parametrize("n", [1, 2, 6, 16386, 65535, 65536, 65537, 65538, 200003])
     @pytest.mark.parametrize("orientation", [ORIENT_ABOVE, ORIENT_BELOW])
     @pytest.mark.parametrize("seed", [7, 42])
     def test_blocks_match_one_shot_draw(self, n, orientation, seed):
@@ -280,3 +280,15 @@ class TestMonteCarloBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        # at n = 4 * 10**6 the one-shot draw holds a 32 MB float array;
+        # block by block the working set is one block whatever n
+        spec = lossy_spec(theta=0.2, prior0=0.4)
+        tracemalloc.start()
+        try:
+            mc_success_probability(spec, 4 * 10**6, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
