@@ -282,17 +282,10 @@ def symplectic_eigenvalue(g: GaussianStateOneMode) -> float:
 
 
 def suggest_cutoff(g: GaussianStateOneMode) -> int:
-    """Starting cutoff for gaussian_to_fock: 20 + 10|mean|² + 20ν, rounded up."""
-    nu = symplectic_eigenvalue(g)
-    energy = g.mean[0] ** 2 + g.mean[1] ** 2
-    return int(math.ceil(20.0 + 10.0 * energy + 20.0 * nu))
-
-
-def _start_cutoff(g: GaussianStateOneMode) -> int:
     """converged_fock_density's first cutoff: 20 + 10|mean|² + 20·λ_max(cov), rounded up.
 
-    suggest_cutoff's formula with the largest quadrature variance in place
-    of ν, which squeezing leaves at 1/2.
+    λ_max, the largest quadrature variance, equals ν for an unsqueezed cov
+    and, unlike ν, grows with squeezing.
     """
     a, b, d = g.cov[0, 0], g.cov[0, 1], g.cov[1, 1]
     lam_max = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
@@ -361,13 +354,13 @@ def gaussian_to_fock(g: GaussianStateOneMode, dim: int) -> FockDensity:
 def converged_fock_density(g: GaussianStateOneMode) -> FockDensity:
     """gaussian_to_fock at the first cutoff that passes its gates.
 
-    The cutoff starts at _start_cutoff and grows 25% at a time up to
+    The cutoff starts at suggest_cutoff and grows 25% at a time up to
     MAX_CUTOFF; no cutoff passing is a CutoffError quoting the last gate
     failure.  A build u ρ_th u† has the spectrum of its renormalized core,
     q^k (1 − q)/(1 − ε) for k < K, so its entropy is g(ν) − h(ε)/(1 − ε)
     (chain rule), within 4.2e-11 bits of ``gaussian_entropy`` at ε ≤ 1e-12.
     """
-    start = dim = _start_cutoff(g)
+    start = dim = suggest_cutoff(g)
     failure = f"starting cutoff {start} exceeds MAX_CUTOFF {MAX_CUTOFF}; nothing built"
     while dim <= MAX_CUTOFF:
         try:

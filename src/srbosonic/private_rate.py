@@ -248,21 +248,14 @@ def _rate(base: ClassicalScenario, theta: float, sigma2: float, chi: float) -> f
     return mutual_information(classical_channel(base, theta, sigma2), base.prior0) - chi
 
 
-def _chi_by_sigma2(s: ClassicalScenario | PrivateScenario, sigmas) -> dict:
+def _chi_by_sigma2(base: ClassicalScenario, sigmas) -> dict:
     """σ² → χ over a σ grid, one ``holevo_chi`` per distinct σ_E² (0 at the receiver site)."""
-    base = _base(s)
     sender = base.noise_site == SITE_SENDER
     sigma2s = [sig * sig for sig in sigmas]
     # largest σ_E² (largest cutoff) first, so a grid past the χ ceiling fails at once
     keys = sorted({s2 if sender else 0.0 for s2 in sigma2s}, reverse=True)
     chi_at = {key: holevo_chi(eve_ensemble(base, key)) for key in keys}
     return {s2: chi_at[s2 if sender else 0.0] for s2 in sigma2s}
-
-
-def _chi_by_sigma(s: ClassicalScenario | PrivateScenario, sigmas) -> list:
-    """χ at each σ of the grid, in grid order (``_chi_by_sigma2``)."""
-    chi_at = _chi_by_sigma2(s, sigmas)
-    return [chi_at[sig * sig] for sig in sigmas]
 
 
 def private_rate(s: PrivateScenario, sigma2: float) -> float:
@@ -290,7 +283,7 @@ def conjecture_probe(s: ClassicalScenario | PrivateScenario, theta_list, sigma_g
     neighbors when the peak is not at the grid edge.
 
     χ does not depend on θ, so the grid stage evaluates it once per σ
-    (``_chi_by_sigma``) and shares it across the whole θ list; only the
+    (``_chi_by_sigma2``) and shares it across the whole θ list; only the
     golden-section refinement, whose σ values are off the grid, computes
     a fresh χ at each of its evaluations.  A PrivateScenario's θ is not read.
     """
@@ -302,17 +295,14 @@ def conjecture_probe(s: ClassicalScenario | PrivateScenario, theta_list, sigma_g
         raise DomainError("theta_list must be non-empty")
     sigmas = _sigma_grid(sigma_grid)
 
-    chi_by_sigma = _chi_by_sigma(base, sigmas)
+    chi_at = _chi_by_sigma2(base, sigmas)
 
     results = []
     for theta in thetas:
-        def rate(sigma: float, theta=theta) -> float:
-            sigma2 = sigma * sigma
-            return _rate(base, theta, sigma2, holevo_chi(eve_ensemble(base, sigma2)))
+        def rate(sigma: float, scenario=PrivateScenario(base, theta)) -> float:
+            return private_rate(scenario, sigma * sigma)
 
-        values = [
-            _rate(base, theta, sig * sig, chi) for sig, chi in zip(sigmas, chi_by_sigma)
-        ]
+        values = [_rate(base, theta, sig * sig, chi_at[sig * sig]) for sig in sigmas]
         best = values.index(max(values))  # the first maximum
         best_sigma = sigmas[best]
         best_value = values[best]

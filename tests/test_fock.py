@@ -307,16 +307,39 @@ class TestGaussianToFock:
         g = GaussianStateOneMode((1.0, -1.0), [[1.5, 0.0], [0.0, 1.5]])
         # 20 + 10*2 + 20*1.5 = 70
         assert suggest_cutoff(g) == 70
-
-    def test_adaptive_growth_outgrows_bad_suggestion(self):
-        # deep squeezing is invisible to the suggestion formula (nu = 1/2),
-        # so the 25% growth loop has to do the work
+        # squeezing leaves nu at 1/2 but not the largest variance:
+        # 20 + 20 * e^{2.4}/2 = 130.2
         r = 1.2
         g = GaussianStateOneMode((0.0, 0.0), [[math.exp(-2 * r) / 2, 0.0], [0.0, math.exp(2 * r) / 2]])
-        assert suggest_cutoff(g) == 30
+        assert suggest_cutoff(g) == 131
+
+    def test_adaptive_growth_outgrows_bad_suggestion(self, monkeypatch):
+        # from a start of 30 the squeezed vacuum misses its moments (its
+        # thermal cutoff is 1, so the tail gate passes every cutoff) until
+        # the 25% growth loop reaches 94
+        monkeypatch.setattr(fock_module, "suggest_cutoff", lambda g: 30)
+        builds = record_builds(monkeypatch)
+        r = 1.2
+        g = GaussianStateOneMode((0.0, 0.0), [[math.exp(-2 * r) / 2, 0.0], [0.0, math.exp(2 * r) / 2]])
         rho = converged_fock_density(g)
-        assert rho.dim > 60
+        assert builds == [(30, False), (38, False), (48, False), (60, False), (75, False), (94, True)]
+        assert rho.dim == 94
         assert von_neumann_entropy(rho) <= 1e-6
+        with pytest.raises(CutoffError, match="moments off"):
+            gaussian_to_fock(g, 75)
+
+    def test_adaptive_growth_outgrows_the_thermal_tail(self, monkeypatch):
+        # n̄ = 2.5 drops a tail above 1e-12 below cutoff 83, so the tail gate
+        # rejects 40, 50, 63 and 79
+        monkeypatch.setattr(fock_module, "suggest_cutoff", lambda g: 40)
+        builds = record_builds(monkeypatch)
+        g = GaussianStateOneMode((0.0, 0.0), [[3.0, 0.0], [0.0, 3.0]])
+        assert fock_module._thermal_cutoff(2.5) == 83
+        rho = converged_fock_density(g)
+        assert builds == [(40, False), (50, False), (63, False), (79, False), (99, True)]
+        assert abs(von_neumann_entropy(rho) - gaussian_entropy(g)) <= 4.2e-11
+        with pytest.raises(CutoffError, match="thermal tail"):
+            gaussian_to_fock(g, 79)
 
 
 class TestDensityType:
@@ -444,8 +467,8 @@ class TestOneAcceptedBuild:
         rho = converged_fock_density(g)
         dims = [dim for dim, _ in builds]
         # the start reads the squeezed variance e^{2r}/2: 20 + 20 * 5.51
-        # rounds up to 131, accepted at once (from suggest_cutoff's 30 the
-        # ladder was rejected five times)
+        # rounds up to 131, accepted at once (from ν's start of 30 the ladder
+        # was rejected five times: test_adaptive_growth_outgrows_bad_suggestion)
         assert dims == cutoff_ladder(131)[: len(builds)]
         assert [accepted for _, accepted in builds] == [False] * (len(builds) - 1) + [True]
         assert len(builds) == 1

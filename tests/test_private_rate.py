@@ -369,9 +369,9 @@ class TestSharedChi:
     def test_rate_helper_matches_private_rate(self):
         s = PrivateScenario(base=fig_base(), theta=0.7)
         sigmas = [0.0, 0.5, 1.0]
-        chis = private_rate_module._chi_by_sigma(s.base, sigmas)
-        for sig, chi in zip(sigmas, chis):
-            value = private_rate_module._rate(s.base, s.theta, sig * sig, chi)
+        chi_at = private_rate_module._chi_by_sigma2(s.base, sigmas)
+        for sig in sigmas:
+            value = private_rate_module._rate(s.base, s.theta, sig * sig, chi_at[sig * sig])
             assert value == private_rate(s, sig * sig)
 
     def test_receiver_site_shares_one_chi(self, monkeypatch):
@@ -383,14 +383,15 @@ class TestSharedChi:
             return holevo_chi(e)
 
         monkeypatch.setattr(private_rate_module, "holevo_chi", counted)
-        chis = private_rate_module._chi_by_sigma(s, [0.0, 0.5, 1.0])
+        sigmas = [0.0, 0.5, 1.0]
+        chi_at = private_rate_module._chi_by_sigma2(s.base, sigmas)
         # the one χ is taken on the eavesdropper's noiseless (σ_E² = 0) ensemble
         noiseless = eve_ensemble(PrivateScenario(base=fig_base(), theta=0.0), 0.0)
         assert len(seen) == 1
         for got, want in ((seen[0].state0, noiseless.state0), (seen[0].state1, noiseless.state1)):
             assert np.array_equal(got.mean, want.mean)
             assert np.array_equal(got.cov, want.cov)
-        assert chis == [holevo_chi(noiseless)] * 3
+        assert [chi_at[sig * sig] for sig in sigmas] == [holevo_chi(noiseless)] * 3
 
 
 def cahill_glauber(m, n, x):
@@ -508,4 +509,4 @@ class TestGramRoute:
         monkeypatch.setattr(private_rate_module, "_gram_entropy", refuse)
         s = PrivateScenario(base=fig_base(), theta=0.0)
         with pytest.raises(CutoffError, match="limit"):
-            private_rate_module._chi_by_sigma(s, [100.0, 170.0])
+            private_rate_module._chi_by_sigma2(s.base, [100.0, 170.0])
