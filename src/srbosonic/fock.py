@@ -150,14 +150,19 @@ class GaussianStateOneMode:
             raise DomainError(f"cov must be 2x2, got shape {cov.shape}")
         if not np.all(np.isfinite(cov)):
             raise DomainError("cov must be finite")
-        if abs(cov[0, 1] - cov[1, 0]) > 1e-12:
-            raise DomainError(f"cov must be symmetric, off-diagonal gap {cov[0, 1] - cov[1, 0]:.3e}")
-        cov = 0.5 * (cov + cov.T)
-        det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-        if cov[0, 0] <= 0.0 or det < 0.25 - 1e-12:
+        # Python floats overflow to inf without a warning; halving first keeps b finite
+        (a, b), (c, d) = cov.tolist()
+        if abs(b - c) > 1e-12:
+            raise DomainError(f"cov must be symmetric, off-diagonal gap {b - c:.3e}")
+        b = 0.5 * b + 0.5 * c
+        det = a * d - b * b
+        if not math.isfinite(det):
+            raise DomainError(f"cov is too large: its determinant overflows ({det!r})")
+        if a <= 0.0 or det < 0.25 - 1e-12:
             raise DomainError(
                 f"cov violates the uncertainty relation: det {det!r} must be >= 1/4"
             )
+        cov = np.array([[a, b], [b, d]])
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -285,12 +290,15 @@ def suggest_cutoff(g: GaussianStateOneMode) -> int:
     """converged_fock_density's first cutoff: 20 + 10|mean|² + 20·λ_max(cov), rounded up.
 
     λ_max, the largest quadrature variance, equals ν for an unsqueezed cov
-    and, unlike ν, grows with squeezing.
+    and, unlike ν, grows with squeezing.  A start past the float range is a
+    CutoffError.
     """
-    a, b, d = g.cov[0, 0], g.cov[0, 1], g.cov[1, 1]
+    (a, b), (_, d) = g.cov.tolist()
     lam_max = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
-    energy = g.mean[0] ** 2 + g.mean[1] ** 2
-    return int(math.ceil(20.0 + 10.0 * energy + 20.0 * lam_max))
+    start = 20.0 + 10.0 * (g.mean[0] * g.mean[0] + g.mean[1] * g.mean[1]) + 20.0 * lam_max
+    if not math.isfinite(start):
+        raise CutoffError(f"starting cutoff {start!r} exceeds MAX_CUTOFF {MAX_CUTOFF}; nothing built")
+    return int(math.ceil(start))
 
 
 def _moment_defect(rho: np.ndarray, g: GaussianStateOneMode, a: np.ndarray, adag: np.ndarray) -> float:

@@ -487,6 +487,22 @@ class TestOneAcceptedBuild:
         assert "starting cutoff 6280" in message
         assert str(MAX_CUTOFF) in message
 
+    def test_huge_finite_states_end_in_library_errors(self, monkeypatch):
+        # |mean|² and 20·λ_max overflow to inf: a start past every cutoff,
+        # not an OverflowError; a determinant that overflows is refused
+        def refuse(g, dim):
+            raise AssertionError(f"built at cutoff {dim}")
+
+        monkeypatch.setattr(fock_module, "gaussian_to_fock", refuse)
+        for mean, cov in (((1e160, 0.0), [[0.5, 0.0], [0.0, 0.5]]),
+                          ((0.0, 0.0), [[1e307, 0.0], [0.0, 1.0]])):
+            g = GaussianStateOneMode(mean, cov)
+            for call in (suggest_cutoff, converged_fock_density):
+                with pytest.raises(CutoffError, match=f"MAX_CUTOFF {MAX_CUTOFF}"):
+                    call(g)
+        with pytest.raises(DomainError, match="determinant overflows"):
+            GaussianStateOneMode((0.0, 0.0), [[1e308, 0.0], [0.0, 1e308]])
+
     def test_exhaustion_quotes_the_last_gate_failure(self, monkeypatch):
         tried = []
 
