@@ -397,13 +397,11 @@ def von_neumann_entropy(rho: FockDensity) -> float:
 def gaussian_entropy(g: GaussianStateOneMode) -> float:
     """Closed-form entropy of a one-mode Gaussian state, in bits.
 
-    (ν+1/2)log₂(ν+1/2) − (ν−1/2)log₂(ν−1/2) with ν = √det(cov); the
-    pure-state limit ν = 1/2 gives 0.
+    (n̄+1)log₂(n̄+1) − n̄ log₂ n̄ with n̄ = ν − 1/2, ν = √det(cov), written as
+    (log1p(n̄) + n̄·log1p(1/n̄))/ln 2 so no two large terms cancel (the
+    difference form returned 0 at ν = 1e16); the pure state n̄ = 0 gives 0.
     """
-    nu = symplectic_eigenvalue(g)
-    hi = nu + 0.5
-    lo = nu - 0.5
-    entropy = hi * math.log2(hi)
-    if lo > 0.0:
-        entropy -= lo * math.log2(lo)
-    return max(0.0, entropy)
+    nbar = symplectic_eigenvalue(g) - 0.5
+    if nbar == 0.0:
+        return 0.0
+    return (math.log1p(nbar) + nbar * math.log1p(1.0 / nbar)) / math.log(2.0)

@@ -8,6 +8,7 @@ gaussian_to_fock's internal self-check is not the thing checking itself.
 
 import importlib
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -405,6 +406,19 @@ class TestGaussianEntropy:
         g0 = GaussianStateOneMode((0.0, 0.0), [[0.9, 0.1], [0.1, 0.8]])
         g1 = GaussianStateOneMode((1.7, -0.4), [[0.9, 0.1], [0.1, 0.8]])
         assert gaussian_entropy(g0) == gaussian_entropy(g1)
+
+    @pytest.mark.parametrize(
+        "nu", [0.5 + 2.0**-40, 0.75, 1.5, 10.0, 1e3, 1e6, 1e8, 1e10, 1e12, 1e16, 1e50, 1e150]
+    )
+    def test_matches_decimal_oracle(self, nu):
+        # (n̄+1)ln(n̄+1) − n̄ ln n̄ in 200 digits: n̄ ln n̄ is 3.5e152 at
+        # ν = 1e150, so the difference keeps more than 40 digits
+        g = GaussianStateOneMode((0.0, 0.0), [[nu, 0.0], [0.0, nu]])
+        with localcontext() as ctx:
+            ctx.prec = 200
+            n = Decimal(symplectic_eigenvalue(g)) - Decimal("0.5")
+            want = float(((n + 1) * (n + 1).ln() - n * n.ln()) / Decimal(2).ln())
+        assert abs(gaussian_entropy(g) - want) <= 1e-14 * want
 
     def test_cross_oracle_random_states(self):
         # the closed form and the Fock-numeric entropy are independent
