@@ -1,9 +1,10 @@
-"""Minimal bracketing root finder used by the interval solvers.
+"""Bracketing solvers: a root by bisection, a maximum by golden section.
 
-Bisection only: the functions we solve are cheap, monotone on the bracket,
-and evaluated in transformed coordinates where Newton steps buy nothing.
-Bisection gives an unconditional convergence guarantee, which matters more
-here than iteration count.
+``bisect`` serves every boundary and critical-noise solve in ``schemes``:
+the functions there are cheap, monotone on the bracket, and evaluated in
+transformed coordinates where Newton steps buy nothing, and bisection
+converges unconditionally.  ``golden_max`` serves only the private-rate
+probe, which refines its maximising σ between two grid neighbours.
 """
 
 from __future__ import annotations

@@ -404,6 +404,12 @@ def success_discrimination(
     carry each hypothesis's own loss (and, for sender-side injection, its
     own attenuation of the added noise).  Hypothesis 1 is declared when the
     outcome falls at or below the threshold.
+
+    Sender-site noise thus reaches the detector as eta0 sigma^2 or eta1
+    sigma^2, so unlike the classical and EA schemes no sigma^2 map joins
+    the two sites, and their forbidden intervals differ: at eta0 0.9, eta1
+    0.4, alpha_q 1.5 and r = 0, [0.465, 1.906] at the receiver and
+    [-0.071, 1.621] at the sender.
     """
     theta = _finite("theta", theta)
     a0, a1 = _discrimination_levels(s)

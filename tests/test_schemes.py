@@ -538,6 +538,27 @@ class TestEA:
         )
         assert best != (0.0, 0.0)
 
+    @given(
+        eta=st.floats(0.05, 1.0),
+        r=st.floats(0, 2),
+        priors=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+        alphas=st.tuples(st.floats(0.05, 2.5), st.floats(0.05, 2.5)),
+        thetas=st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+        sigma2s=st.tuples(st.floats(0, 5), st.floats(0, 5)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_site_equivalence(self, eta, r, priors, alphas, thetas, sigma2s):
+        # sender-site noise reaches the detector as eta sigma^2 in each
+        # quadrature: the receiver curve at (eta sigma_q^2, eta sigma_p^2),
+        # bit for bit, and the same rectangle
+        fields = dict(eta=eta, r=r, prior_q=priors[0], prior_p=priors[1], alpha_q=alphas[0],
+                      alpha_p=alphas[1], theta_q=thetas[0], theta_p=thetas[1])
+        sender = EAScenario(**fields, noise_site="sender")
+        receiver = EAScenario(**fields, noise_site="receiver")
+        sq, sp = sigma2s
+        assert success_ea(sender, sq, sp) == success_ea(receiver, eta * sq, eta * sp)
+        assert forbidden_rectangle(sender) == forbidden_rectangle(receiver)
+
     def test_ea_mc_product_cross_check(self):
         # Per-quadrature MC runs multiply to the joint probability.
         s = ea_scenario(theta_q=0.3, theta_p=-0.2, prior_q=0.4, prior_p=0.6)
@@ -604,6 +625,24 @@ class TestDiscrimination:
 
     def test_zero_at_boundary(self):
         assert abs(critical_sigma2_discrimination(disc_scenario(), DISC_THETA_PLUS)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "r, site, lo, hi, tol",
+        [
+            # receiver at r = 0: the closed form (a 50-digit bisection of its
+            # boundary equation agrees to 1.5e-15); the rest bisect the onset sign
+            (0.0, "receiver", 0.4652122992745444, 1.9064959458517399, 1e-12),
+            (0.0, "sender", -0.0714406605, 1.6207440442, 1e-6),
+            (0.3, "receiver", 0.4950933818, 1.6863272733, 1e-6),
+            (0.3, "sender", 0.2177343730, 1.5306637830, 1e-6),
+        ],
+    )
+    def test_readme_intervals_by_site(self, r, site, lo, hi, tol):
+        # sender-site noise reaches the detector as eta0 sigma^2 or eta1
+        # sigma^2, so no sigma^2 map joins the two sites and the intervals differ
+        s = DiscriminationScenario(eta0=0.9, eta1=0.4, alpha_q=1.5, r=r, noise_site=site)
+        iv = forbidden_interval_discrimination(s)
+        assert abs(iv.lo - lo) <= tol and abs(iv.hi - hi) <= tol
 
     def test_frozen_interval_and_ordering(self):
         iv = forbidden_interval_discrimination(disc_scenario())
