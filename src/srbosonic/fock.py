@@ -398,8 +398,8 @@ def gaussian_entropy(g: GaussianStateOneMode) -> float:
     """Closed-form entropy of a one-mode Gaussian state, in bits.
 
     (n̄+1)log₂(n̄+1) − n̄ log₂ n̄ with n̄ = ν − 1/2, ν = √det(cov), written as
-    (log1p(n̄) + n̄·log1p(1/n̄))/ln 2 so no two large terms cancel (the
-    difference form returned 0 at ν = 1e16); the pure state n̄ = 0 gives 0.
+    (log1p(n̄) + n̄·log1p(1/n̄))/ln 2 so that no two large terms cancel;
+    the pure state n̄ = 0 gives 0.
     """
     nbar = symplectic_eigenvalue(g) - 0.5
     if nbar == 0.0:

@@ -481,8 +481,7 @@ class TestOneAcceptedBuild:
         rho = converged_fock_density(g)
         dims = [dim for dim, _ in builds]
         # the start reads the squeezed variance e^{2r}/2: 20 + 20 * 5.51
-        # rounds up to 131, accepted at once (from ν's start of 30 the ladder
-        # was rejected five times: test_adaptive_growth_outgrows_bad_suggestion)
+        # rounds up to 131, accepted at once
         assert dims == cutoff_ladder(131)[: len(builds)]
         assert [accepted for _, accepted in builds] == [False] * (len(builds) - 1) + [True]
         assert len(builds) == 1
