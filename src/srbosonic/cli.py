@@ -172,13 +172,8 @@ _FLAGS = {
 _DEFAULTS = {
     "format": "csv",
     "seed": 0,
-    "prior-q": 0.5,
-    "prior-p": 0.5,
     "interval": False,
     "n": 1000000,
-    # decoding thresholds do not enter the rectangle bounds themselves
-    "theta-q": 0.0,
-    "theta-p": 0.0,
     # the scenario fields' own defaults; the types agree where they share a field
     **{
         flag: f.default
@@ -248,16 +243,10 @@ def _resolve(args: argparse.Namespace) -> dict:
         if flag_value is not None:
             raw[name] = flag_value
 
+    defaults = {**_DEFAULTS, **_COMMAND_DEFAULTS.get(command, {})}
     cfg = {"command": command}
     for name, converter in table.items():
-        if name in raw:
-            cfg[name] = converter(raw[name])
-        elif name in _COMMAND_DEFAULTS.get(command, {}):
-            cfg[name] = _COMMAND_DEFAULTS[command][name]
-        elif name in _DEFAULTS:
-            cfg[name] = _DEFAULTS[name]
-        else:
-            cfg[name] = None
+        cfg[name] = converter(raw[name]) if name in raw else defaults.get(name)
 
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
@@ -271,20 +260,19 @@ def _resolve(args: argparse.Namespace) -> dict:
     if command == "mc-check" and cfg["n"] > _MAX_MC_SAMPLES:
         raise ConfigError(f"n must be <= {_MAX_MC_SAMPLES}, got {cfg['n']}")
 
-    needs_grid = "grid-step" in table
-    if command == "interval":
-        if cfg["vary"] is not None and cfg["vary"] not in ("r", "alpha-q"):
-            raise ConfigError(f"vary must be r or alpha-q, got {cfg['vary']!r}")
-        needs_grid = cfg["vary"] is not None
-    if command == "discriminate":
-        needs_grid = not cfg["interval"]
+    if cfg.get("vary") not in (None, "r", "alpha-q"):
+        raise ConfigError(f"vary must be r or alpha-q, got {cfg['vary']!r}")
+    # one solve and no grid: a command without grid flags, --interval, or no --vary
+    single = "grid-step" not in table or cfg.get("interval") or (
+        "vary" in table and cfg["vary"] is None
+    )
     grid_given = [cfg.get(k) is not None for k in ("grid-start", "grid-stop", "grid-step")]
-    if needs_grid:
+    if not single:
         if not all(grid_given):
             raise ConfigError(f"{command}: grid-start, grid-stop, grid-step are required")
         cfg["grid"] = _build_grid(cfg["grid-start"], cfg["grid-stop"], cfg["grid-step"])
-        # every grid but interval's --vary is a σ axis, held to the library's σ-grid rule
-        if command != "interval":
+        # every grid but --vary's is a σ axis, held to the library's σ-grid rule
+        if cfg.get("vary") is None:
             try:
                 _sigma_grid(cfg["grid"])
             except DomainError as exc:
@@ -293,7 +281,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise ConfigError(f"{command}: grid flags are not accepted in this mode")
 
     optional = {"out", "vary", "grid-start", "grid-stop", "grid-step"}
-    if command == "discriminate" and cfg["interval"]:
+    if single:
         optional.add("theta")
     for name in table:
         if cfg[name] is None and name not in optional:

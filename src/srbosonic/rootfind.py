@@ -1,10 +1,12 @@
 """Bracketing solvers: a root by bisection, a maximum by golden section.
 
-``bisect`` serves every boundary and critical-noise solve in ``schemes``:
-the functions there are cheap, monotone on the bracket, and evaluated in
-transformed coordinates where Newton steps buy nothing, and bisection
-converges unconditionally.  ``golden_max`` serves only the private-rate
-probe, which refines its maximising σ between two grid neighbours.
+``_bracket_and_bisect`` steps out from a point with a doubling step until
+the sign changes, then ``bisect`` closes the last step; that walk serves
+every boundary and critical-noise solve in ``schemes``.  The functions
+there are cheap, monotone on the bracket, and evaluated in transformed
+coordinates where Newton steps buy nothing, and bisection converges
+unconditionally.  ``golden_max`` serves only the private-rate probe, which
+refines its maximising σ between two grid neighbours.
 """
 
 from __future__ import annotations
@@ -58,6 +60,36 @@ def bisect(
         if hi - lo < xtol:
             break
     return 0.5 * (lo + hi)
+
+
+def _bracket_and_bisect(
+    f: Callable[[float], float], x0: float, f0: float, bound: float, step: float,
+    *, xtol: float, maxit: int,
+) -> float:
+    """Root of f between x0 and bound, where f(x0) = f0 is nonzero.
+
+    Steps out from x0 toward bound, doubling the step each time, until f is
+    zero or has changed sign.  The last step is clamped to bound, and
+    SolverError is raised only if f keeps its sign there too.  The final
+    step is then bisected.
+    """
+    direction = math.copysign(1.0, bound - x0)
+    inner = x0
+    while True:
+        outer = inner + direction * step
+        if direction * (outer - bound) > 0.0:
+            outer = bound
+        f_out = f(outer)
+        if f_out == 0.0 or (f_out > 0.0) != (f0 > 0.0):
+            break
+        if outer == bound:
+            raise SolverError(
+                f"bracketing failed: no sign change between {x0!r} and the "
+                f"search bound {bound!r}"
+            )
+        inner, step = outer, 2.0 * step
+    lo, hi = sorted((inner, outer))
+    return bisect(f, lo, hi, xtol=xtol, maxit=maxit)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

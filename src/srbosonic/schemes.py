@@ -57,7 +57,8 @@ zero of g(theta, sigma^2) in sigma^2, bisected to float resolution;
 where g stays positive up to the search bound and its sigma^2 -> inf
 limit ln(p0 / p1) - ln(c0 / c1) / 2 + ln(|theta - a0| / |theta - a1|)
 (negated below a1) is positive, P_s keeps rising and has no finite
-optimum.  One bracket-and-bisect helper finds every root.
+optimum.  One bracket-and-bisect helper, rootfind._bracket_and_bisect,
+finds every root.
 
 The residual is limited by conditioning, not by the solver: u is bisected
 to 1e-14, and the identity divides the rounding of g by gap (gap + 2 t).
@@ -75,9 +76,9 @@ none occurred in 18 000 weak-signal intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import partial
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from .errors import (
     DomainError,
@@ -89,7 +90,7 @@ from .errors import (
     _sigma_grid,
     _store,
 )
-from .rootfind import bisect
+from .rootfind import _bracket_and_bisect
 from .threshold import (
     ORIENT_ABOVE,
     ORIENT_BELOW,
@@ -187,13 +188,14 @@ class EAScenario:
     """
 
     eta: float
-    r: float
-    prior_q: float
-    prior_p: float
+    r: float = 0.0
+    _: KW_ONLY
+    prior_q: float = 0.5
+    prior_p: float = 0.5
     alpha_q: float
     alpha_p: float
-    theta_q: float
-    theta_p: float
+    theta_q: float = 0.0
+    theta_p: float = 0.0
     noise_site: str = SITE_RECEIVER
 
     def __post_init__(self) -> None:
@@ -582,36 +584,6 @@ def _onset_sign_limit(s: DiscriminationScenario, theta: float) -> float:
 _U_START, _U_FLOOR, _U_CEIL = math.log(1e-6), -1e300, math.log(1e300)
 
 
-def _bracket_and_bisect(
-    f: Callable[[float], float], x0: float, f0: float, bound: float, step: float,
-    *, xtol: float, maxit: int,
-) -> float:
-    """Root of f between x0 and bound, where f(x0) = f0 is nonzero.
-
-    Steps out from x0 toward bound, doubling the step each time, until f is
-    zero or has changed sign.  The last step is clamped to bound, and
-    SolverError is raised only if f keeps its sign there too.  The final
-    step is then bisected.
-    """
-    direction = math.copysign(1.0, bound - x0)
-    inner = x0
-    while True:
-        outer = inner + direction * step
-        if direction * (outer - bound) > 0.0:
-            outer = bound
-        f_out = f(outer)
-        if f_out == 0.0 or (f_out > 0.0) != (f0 > 0.0):
-            break
-        if outer == bound:
-            raise SolverError(
-                f"bracketing failed: no sign change between {x0!r} and the "
-                f"search bound {bound!r}"
-            )
-        inner, step = outer, 2.0 * step
-    lo, hi = sorted((inner, outer))
-    return bisect(f, lo, hi, xtol=xtol, maxit=maxit)
-
-
 def _boundary_root(near: float, gap: float, side: int, lw: float, k: float) -> tuple:
     """(theta, |sigma*^2| residual) of the boundary theta = near + side e^u.
 
@@ -718,11 +690,9 @@ def forbidden_interval_discrimination(s: DiscriminationScenario) -> ForbiddenInt
 # ---------------------------------------------------------------------------
 # Sweeps
 
-Scenario = Union[ClassicalScenario, EAScenario, DiscriminationScenario]
-
 
 def sweep_success(
-    scenario: Scenario,
+    scenario: ClassicalScenario | EAScenario | DiscriminationScenario,
     theta: float | None,
     sigma_grid: Sequence[float],
 ) -> SweepSeries:

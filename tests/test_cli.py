@@ -379,7 +379,7 @@ class TestDefaults:
                 if field.default is not dataclasses.MISSING:
                     assert cli._DEFAULTS[flag] == field.default
                     seen.add(flag)
-        assert seen == {"r", "prior0", "site"}
+        assert seen == {"r", "prior0", "site", "prior-q", "prior-p", "theta-q", "theta-p"}
 
     def test_omitted_flags_take_the_scenario_defaults(self):
         code, out, _ = run_cli([

@@ -3,8 +3,7 @@
 import pytest
 
 from srbosonic.errors import SolverError
-from srbosonic.rootfind import bisect, golden_max
-from srbosonic.schemes import _bracket_and_bisect
+from srbosonic.rootfind import _bracket_and_bisect, bisect, golden_max
 
 
 class TestBisect:
