@@ -126,7 +126,12 @@ def eve_ensemble(s: ClassicalScenario | PrivateScenario, sigma2: float) -> EveEn
     sigma_e2 = sigma2 if base.noise_site == SITE_SENDER else 0.0
     mean_mag = math.sqrt(leak) * base.alpha_q
     var_q = (leak * (math.exp(-2.0 * base.r) + sigma_e2) + base.eta) / 2.0
-    var_p = (leak * math.exp(2.0 * base.r) + base.eta) / 2.0
+    try:
+        var_p = (leak * math.exp(2.0 * base.r) + base.eta) / 2.0
+    except OverflowError:
+        raise DomainError(
+            f"r = {base.r!r} is too large: e^(2r) in the eavesdropper's p variance overflows"
+        ) from None
     cov = [[var_q, 0.0], [0.0, var_p]]
     return EveEnsemble(
         state0=GaussianStateOneMode((-mean_mag, 0.0), cov),
@@ -144,28 +149,37 @@ def _displacement_block(x: float, dim: int) -> np.ndarray:
     ⟨n+j|D|n⟩ = d_n, ⟨n|D|n+j⟩ = (−1)^j d_n.  Factors above 1e150 move
     into log_scale, so a start below the float range (x ≳ 1400) cannot
     zero a diagonal.  (A column recurrence loses all accuracy at |β| ~ 2.)
+    An x that is not finite, or past ~1e150 where one step of the
+    recurrence outgrows the rescale, leaves a block entry non-finite: a
+    CutoffError, since the states are then orthogonal to float precision.
     """
     import numpy as np
 
     if x == 0.0:
         return np.eye(dim)
-    j = np.arange(dim)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
-    log_scale = 0.5 * j * math.log(x) - 0.5 * x - 0.5 * log_fact
-    sign = 1 - 2 * (j % 2)
     block = np.empty((dim, dim))
-    prev, cur = np.zeros(dim), np.ones(dim)
-    for n in range(dim):
-        diagonals = (cur * np.exp(log_scale))[: dim - n]
-        block[n:, n] = diagonals
-        block[n, n:] = sign[: dim - n] * diagonals
-        nxt = (2 * n + 1 + j - x) * cur - np.sqrt(n * (n + j)) * prev
-        nxt /= np.sqrt((n + 1) * (n + j + 1))
-        big = np.abs(nxt) > _RESCALE
-        if big.any():
-            nxt[big], cur[big] = nxt[big] / _RESCALE, cur[big] / _RESCALE
-            log_scale[big] += math.log(_RESCALE)
-        prev, cur = cur, nxt
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+        j = np.arange(dim)
+        log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
+        log_scale = 0.5 * j * math.log(x) - 0.5 * x - 0.5 * log_fact
+        sign = 1 - 2 * (j % 2)
+        prev, cur = np.zeros(dim), np.ones(dim)
+        for n in range(dim):
+            diagonals = (cur * np.exp(log_scale))[: dim - n]
+            block[n:, n] = diagonals
+            block[n, n:] = sign[: dim - n] * diagonals
+            nxt = (2 * n + 1 + j - x) * cur - np.sqrt(n * (n + j)) * prev
+            nxt /= np.sqrt((n + 1) * (n + j + 1))
+            big = np.abs(nxt) > _RESCALE
+            if big.any():
+                nxt[big], cur[big] = nxt[big] / _RESCALE, cur[big] / _RESCALE
+                log_scale[big] += math.log(_RESCALE)
+            prev, cur = cur, nxt
+    if not np.isfinite(block).all():
+        raise CutoffError(
+            f"displacement block at x = {x!r} leaves the float range: the two "
+            f"eavesdropper states are orthogonal to float precision; lower alpha-q"
+        )
     return block
 
 
@@ -220,7 +234,8 @@ def _mixture_entropy(e: EveEnsemble) -> float:
             f"engine's MAX_CUTOFF is {MAX_CUTOFF}); lower the sender-site noise or squeezing"
         )
     delta = np.subtract(e.state1.mean, e.state0.mean)
-    x = nu * float(delta @ np.linalg.solve(e.state0.cov, delta)) / 2.0
+    with np.errstate(over="ignore"):  # an x of inf fails _displacement_block's check
+        x = nu * float(delta @ np.linalg.solve(e.state0.cov, delta)) / 2.0
     return _gram_entropy(nu, e.prior0, x, dim)
 
 

@@ -17,6 +17,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -28,8 +29,10 @@ from srbosonic.qubit import QuantumCommParams, average_fidelity, choi_state, log
 from srbosonic.schemes import (
     ClassicalScenario,
     DiscriminationScenario,
+    EAScenario,
     forbidden_interval_classical,
     forbidden_interval_discrimination,
+    forbidden_rectangle,
     success_classical,
     success_discrimination,
 )
@@ -178,6 +181,21 @@ class TestRectangle:
         assert q_lo == -q_hi
         assert q_lo == p_lo and q_hi == p_hi
         assert all(abs(res) <= 1e-10 for res in rows[0][4:])
+
+    def test_omitted_flags_are_the_scenario_defaults(self):
+        # priors, thresholds and r come from EAScenario's own field defaults
+        code, out, _ = run_cli([
+            "rectangle", "--eta", "0.8", "--alpha-q", "1", "--alpha-p", "1", "--format", "json",
+        ])
+        assert code == 0
+        got = {series["name"]: series["points"][0][1] for series in json.loads(out)["series"]}
+        rect = forbidden_rectangle(EAScenario(eta=0.8, alpha_q=1.0, alpha_p=1.0))
+        q, p = rect.q_interval, rect.p_interval
+        assert got == {
+            "q_lo": q.lo, "q_hi": q.hi, "p_lo": p.lo, "p_hi": p.hi,
+            "q_residual_lo": q.residual_lo, "q_residual_hi": q.residual_hi,
+            "p_residual_lo": p.residual_lo, "p_residual_hi": p.residual_hi,
+        }
 
 
 class TestDiscriminate:
@@ -401,7 +419,61 @@ class TestDefaults:
         assert json.loads(out)["meta"]["parameters"]["site"] == "sender"
 
 
+_ONE_STEP = ["--grid-start", "0", "--grid-stop", "1", "--grid-step", "1"]
+_CLASSICAL_FLAGS = ["--eta", "0.8", "--alpha-q", "1"]
+# (id, argv, the flags pushed to extremes): η-like flags go to 1e-300 only
+_EXTREME_BASES = [
+    ("sweep", ["sweep"] + _CLASSICAL_FLAGS + ["--theta", "0.5"] + _ONE_STEP,
+     ("alpha-q", "r", "theta", "eta")),
+    ("interval", ["interval"] + _CLASSICAL_FLAGS, ("alpha-q", "r", "eta")),
+    ("rectangle", ["rectangle"] + _CLASSICAL_FLAGS + ["--alpha-p", "1"],
+     ("alpha-q", "r", "theta-q", "eta")),
+    ("discriminate", ["discriminate", "--eta0", "0.9", "--eta1", "0.4", "--alpha-q", "1.5",
+                      "--theta", "2"] + _ONE_STEP, ("alpha-q", "r", "theta", "eta1")),
+    ("fidelity", ["fidelity", "--x0", "0.3", "--theta", "0.2"] + _ONE_STEP, ("theta",)),
+    ("negativity", ["negativity", "--x0", "0.3", "--theta", "0.2"] + _ONE_STEP, ("theta",)),
+    ("private", ["private"] + _CLASSICAL_FLAGS + ["--theta", "0"] + _ONE_STEP,
+     ("alpha-q", "r", "theta", "eta")),
+    ("private-sender", ["private", "--site", "sender"] + _CLASSICAL_FLAGS + ["--theta", "0"]
+     + _ONE_STEP, ("alpha-q", "r")),
+    ("probe-conjecture", ["probe-conjecture"] + _CLASSICAL_FLAGS + ["--theta", "0"] + _ONE_STEP,
+     ("alpha-q", "r", "theta", "eta")),
+    ("mc-check", ["mc-check"] + _CLASSICAL_FLAGS + ["--theta", "0.6", "--n", "100"] + _ONE_STEP,
+     ("alpha-q", "r", "theta", "eta")),
+]
+_EXTREME_RUNS = [
+    pytest.param(argv + [f"--{flag}", value], id=f"{name}-{flag}={value}")
+    for name, argv, flags in _EXTREME_BASES
+    for flag in flags
+    for value in (("1e-300",) if flag.startswith("eta") else ("1e-300", "1e300", "400", "1e-320", "0"))
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", _EXTREME_RUNS)
+    def test_extreme_values_end_in_an_exit_code(self, argv):
+        # a tiny, huge or zero amplitude, squeezing or threshold succeeds or
+        # fails with exit 2 or 3: never a traceback, never a float warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, _ = run_cli(argv)
+        assert code in (0, 2, 3)
+
+    @pytest.mark.parametrize("flags, want_code, fragment", [
+        (["--alpha-q", "1", "--r", "400"], 2,
+         "error: private: r = 400.0 is too large: e^(2r) in the eavesdropper's p variance overflows"),
+        (["--alpha-q", "1e155", "--site", "receiver"], 3,
+         "error: private failed: displacement block at x = inf leaves the float range"),
+        (["--alpha-q", "1e100", "--site", "sender"], 3,
+         "error: private failed: displacement block at x = 3.6514837167011074e+199 leaves"),
+    ], ids=["squeezing", "receiver-amplitude", "sender-amplitude"])
+    def test_extreme_chi_inputs_fail_fast(self, flags, want_code, fragment):
+        # these three once ended in an OverflowError, a rate of 1.0 where chi
+        # is 1 bit, and a LinAlgError
+        code, out, err = run_cli(["private", "--eta", "0.8", "--theta", "0"] + flags + _ONE_STEP)
+        assert (code, out) == (want_code, "")
+        assert err.startswith(fragment)
+
     def test_unknown_subcommand(self):
         code, _, _ = run_cli(["bogus"])
         assert code == 2

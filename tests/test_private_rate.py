@@ -510,3 +510,23 @@ class TestGramRoute:
         s = PrivateScenario(base=fig_base(), theta=0.0)
         with pytest.raises(CutoffError, match="limit"):
             private_rate_module._chi_by_sigma2(s.base, [100.0, 170.0])
+
+
+class TestExtremeParameters:
+    def test_squeezing_past_the_float_range_is_a_domain_error(self):
+        # e^(2r) overflows from r ~ 355; it once escaped as an OverflowError
+        with pytest.raises(DomainError, match=r"r = 400.0 is too large"):
+            eve_ensemble(fig_base(r=400.0), 0.0)
+
+    @pytest.mark.parametrize("site, alpha_q", [(SITE_RECEIVER, 1e155), (SITE_SENDER, 1e100)])
+    def test_overlap_past_the_float_range_is_a_cutoff_error(self, site, alpha_q):
+        # at 1e155 x overflows to inf, and chi once came back 0.0 instead of
+        # 1 bit; at 1e100 and sigma 1 the Laguerre recurrence of the 9-level
+        # block outgrows its rescale
+        with pytest.raises(CutoffError, match="orthogonal to float precision"):
+            holevo_chi(eve_ensemble(fig_base(site=site, alpha_q=alpha_q), 1.0))
+
+    @pytest.mark.parametrize("site, alpha_q", [(SITE_RECEIVER, 1e154), (SITE_SENDER, 1e50)])
+    def test_largest_working_amplitudes_give_one_bit(self, site, alpha_q):
+        chi = holevo_chi(eve_ensemble(fig_base(site=site, alpha_q=alpha_q), 1.0))
+        assert abs(chi - 1.0) <= 5.2e-11
