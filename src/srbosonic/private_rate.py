@@ -157,13 +157,13 @@ def _displacement_block(x: float, dim: int) -> np.ndarray:
 
     if x == 0.0:
         return np.eye(dim)
+    j = np.arange(dim)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
+    sign = 1 - 2 * (j % 2)
     block = np.empty((dim, dim))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
-        j = np.arange(dim)
-        log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
+    prev, cur = np.zeros(dim), np.ones(dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite block is refused below
         log_scale = 0.5 * j * math.log(x) - 0.5 * x - 0.5 * log_fact
-        sign = 1 - 2 * (j % 2)
-        prev, cur = np.zeros(dim), np.ones(dim)
         for n in range(dim):
             diagonals = (cur * np.exp(log_scale))[: dim - n]
             block[n:, n] = diagonals

@@ -184,7 +184,8 @@ class EAScenario:
     One bit rides in each quadrature with its own amplitude, prior, and
     threshold.  The shared resource squeezing r suppresses the noise floor
     of both quadratures at once, with the loss-side vacuum contributing the
-    (1 + eta) weighting handled in ea_total_variance.
+    (1 + eta) weighting handled in ea_total_variance.  Every field after r
+    is keyword-only; priors default to 1/2 and thresholds to 0.
     """
 
     eta: float
