@@ -441,11 +441,12 @@ _EXTREME_BASES = [
     ("mc-check", ["mc-check"] + _CLASSICAL_FLAGS + ["--theta", "0.6", "--n", "100"] + _ONE_STEP,
      ("alpha-q", "r", "theta", "eta")),
 ]
+_EXTREME_VALUES = ("1e-300", "1e300", "400", "1e-320", "0")
 _EXTREME_RUNS = [
     pytest.param(argv + [f"--{flag}", value], id=f"{name}-{flag}={value}")
     for name, argv, flags in _EXTREME_BASES
     for flag in flags
-    for value in (("1e-300",) if flag.startswith("eta") else ("1e-300", "1e300", "400", "1e-320", "0"))
+    for value in (("1e-300",) if flag.startswith("eta") else _EXTREME_VALUES)
 ]
 
 
@@ -461,15 +462,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags, want_code, fragment", [
         (["--alpha-q", "1", "--r", "400"], 2,
-         "error: private: r = 400.0 is too large: e^(2r) in the eavesdropper's p variance overflows"),
+         "error: private: r = 400.0 is too large: e^(2r) in the eavesdropper's p variance"),
         (["--alpha-q", "1e155", "--site", "receiver"], 3,
          "error: private failed: displacement block at x = inf leaves the float range"),
         (["--alpha-q", "1e100", "--site", "sender"], 3,
          "error: private failed: displacement block at x = 3.6514837167011074e+199 leaves"),
     ], ids=["squeezing", "receiver-amplitude", "sender-amplitude"])
     def test_extreme_chi_inputs_fail_fast(self, flags, want_code, fragment):
-        # these three once ended in an OverflowError, a rate of 1.0 where chi
-        # is 1 bit, and a LinAlgError
+        # e^(2r) overflows at r = 400; x = inf at 1e155; at 1e100 the Laguerre
+        # recurrence outgrows its rescale
         code, out, err = run_cli(["private", "--eta", "0.8", "--theta", "0"] + flags + _ONE_STEP)
         assert (code, out) == (want_code, "")
         assert err.startswith(fragment)

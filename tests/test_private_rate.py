@@ -514,15 +514,15 @@ class TestGramRoute:
 
 class TestExtremeParameters:
     def test_squeezing_past_the_float_range_is_a_domain_error(self):
-        # e^(2r) overflows from r ~ 355; it once escaped as an OverflowError
+        # e^(2r) overflows from r ~ 355
         with pytest.raises(DomainError, match=r"r = 400.0 is too large"):
             eve_ensemble(fig_base(r=400.0), 0.0)
 
     @pytest.mark.parametrize("site, alpha_q", [(SITE_RECEIVER, 1e155), (SITE_SENDER, 1e100)])
     def test_overlap_past_the_float_range_is_a_cutoff_error(self, site, alpha_q):
-        # at 1e155 x overflows to inf, and chi once came back 0.0 instead of
-        # 1 bit; at 1e100 and sigma 1 the Laguerre recurrence of the 9-level
-        # block outgrows its rescale
+        # at 1e155 x overflows to inf, where chi is 1 bit and not the 0.0 a NaN
+        # block gives; at 1e100 and sigma 1 the Laguerre recurrence of the
+        # 9-level block outgrows its rescale
         with pytest.raises(CutoffError, match="orthogonal to float precision"):
             holevo_chi(eve_ensemble(fig_base(site=site, alpha_q=alpha_q), 1.0))
 
