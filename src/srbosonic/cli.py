@@ -21,9 +21,8 @@ A config file holds flat ``key = value`` lines (``#`` comments allowed)
 using the long flag names; command-line flags override file values.
 
 Only ``mc-check`` (10^6 samples per point by default) fans its points out
-to worker processes; ``--parallel`` or, failing that, the
-SRBOSONIC_PARALLEL environment variable sets its worker count, which never
-exceeds the grid points or the CPU cores.  Every other command runs
+to worker processes; ``--parallel`` (default 1) sets its worker count,
+which never exceeds the grid points or the CPU cores.  Every other command runs
 serially: a point costs microseconds (a χ about a millisecond), less than
 starting a worker and shipping it the job.
 """
@@ -54,8 +53,6 @@ from .schemes import (
     success_discrimination,
 )
 from .threshold import mc_success_probability
-
-ENV_PARALLEL = "SRBOSONIC_PARALLEL"
 
 # Request ceilings, checked before anything is allocated.  The densest
 # benchmark grid has 3001 points; mc-check's default is 10^6 samples.  Its
@@ -141,7 +138,7 @@ def _scenario(cls, cfg: dict):
     return cls(**{name: cfg[flag] for name, flag in _SCENARIO_FLAGS[cls]})
 
 
-# flag name -> converter; single source of truth for the parser, the
+# (flag name, converter) pairs; single source of truth for the parser, the
 # config-file key set, and the resolver
 _COMMON = (
     ("out", _parse_str),
@@ -150,28 +147,15 @@ _COMMON = (
     ("parallel", _parse_int),
 )
 _CLASSICAL = _scenario_table(ClassicalScenario)
-_GRID = (
-    ("grid-start", _parse_float),
-    ("grid-stop", _parse_float),
-    ("grid-step", _parse_float),
-)
-_FLAGS = {
-    "sweep": _CLASSICAL + (("theta", _parse_float_list),) + _GRID,
-    "interval": _CLASSICAL + (("vary", _parse_str),) + _GRID,
-    "rectangle": _scenario_table(EAScenario),
-    "discriminate": _scenario_table(DiscriminationScenario)
-    + (("theta", _parse_float_list), ("interval", _parse_bool))
-    + _GRID,
-    "fidelity": (("x0", _parse_float), ("theta", _parse_float_list)) + _GRID,
-    "negativity": (("x0", _parse_float), ("theta", _parse_float_list)) + _GRID,
-    "private": _CLASSICAL + (("theta", _parse_float_list),) + _GRID,
-    "probe-conjecture": _CLASSICAL + (("theta", _parse_float_list),) + _GRID,
-    "mc-check": _CLASSICAL + (("theta", _parse_float), ("n", _parse_int)) + _GRID,
-}
+_GRID = tuple((name, _parse_float) for name in ("grid-start", "grid-stop", "grid-step"))
+_THETAS = (("theta", _parse_float_list),)
+_CURVES = _CLASSICAL + _THETAS + _GRID
+_QUANTUM = (("x0", _parse_float),) + _THETAS + _GRID
 
 _DEFAULTS = {
     "format": "csv",
     "seed": 0,
+    "parallel": 1,
     "interval": False,
     "n": 1000000,
     # the scenario fields' own defaults; the types agree where they share a field
@@ -182,8 +166,6 @@ _DEFAULTS = {
         if f.default is not dataclasses.MISSING
     },
 }
-# the conjecture is about sender-site noise, so that is its default
-_COMMAND_DEFAULTS = {"probe-conjecture": {"site": SITE_SENDER}}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -192,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Threshold-detection noise benefits: sweeps, boundaries, rates.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, flags in _FLAGS.items():
+    for command, (flags, _, _) in _COMMANDS.items():
         sub = subparsers.add_parser(command)
         sub.add_argument("--config", default=None)
         for name, converter in flags + _COMMON:
@@ -225,7 +207,8 @@ def _read_config_file(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     command = args.command
-    table = dict(_FLAGS[command] + _COMMON)
+    flags, _, command_defaults = _COMMANDS[command]
+    table = dict(flags + _COMMON)
     raw = {}
     if args.config is not None:
         for key, value in _read_config_file(args.config).items():
@@ -243,16 +226,13 @@ def _resolve(args: argparse.Namespace) -> dict:
         if flag_value is not None:
             raw[name] = flag_value
 
-    defaults = {**_DEFAULTS, **_COMMAND_DEFAULTS.get(command, {})}
+    defaults = {**_DEFAULTS, **command_defaults}
     cfg = {"command": command}
     for name, converter in table.items():
         cfg[name] = converter(raw[name]) if name in raw else defaults.get(name)
 
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
-    if cfg["parallel"] is None:
-        env = os.environ.get(ENV_PARALLEL)
-        cfg["parallel"] = _parse_int(env) if env else 1
     if cfg["parallel"] < 1:
         raise ConfigError(f"parallel must be >= 1, got {cfg['parallel']}")
     if cfg["seed"] < 0:
@@ -328,6 +308,10 @@ def _theta_series(cfg: dict, point):
     return "sigma", grid, series
 
 
+def _run_sweep(cfg: dict):
+    return _theta_series(cfg, partial(success_classical, _scenario(ClassicalScenario, cfg)))
+
+
 def _run_quantum(cfg: dict, quantity):
     """quantity(QuantumCommParams) per θ over the σ grid: fidelity or negativity."""
     return _theta_series(
@@ -342,13 +326,15 @@ def _run_private(cfg: dict):
     return _theta_series(cfg, lambda theta, sigma2: _rate(base, theta, sigma2, chi_at[sigma2]))
 
 
-_INTERVAL_NAMES = ("theta_minus", "theta_plus", "residual_minus", "residual_plus")
+def _columns(names, rows) -> list:
+    """One (name, values) series per column of rows, in the order of names."""
+    return [(name, [row[i] for row in rows]) for i, name in enumerate(names)]
 
 
 def _interval_series(results) -> list:
     """θ± and their residuals as four series, one value per solve."""
     rows = [(r.lo, r.hi, r.residual_lo, r.residual_hi) for r in results]
-    return [(name, [row[i] for row in rows]) for i, name in enumerate(_INTERVAL_NAMES)]
+    return _columns(("theta_minus", "theta_plus", "residual_minus", "residual_plus"), rows)
 
 
 def _run_interval(cfg: dict):
@@ -364,17 +350,11 @@ def _run_interval(cfg: dict):
 
 def _run_rectangle(cfg: dict):
     rect = forbidden_rectangle(_scenario(EAScenario, cfg))
-    names_values = (
-        ("q_lo", rect.q_interval.lo),
-        ("q_hi", rect.q_interval.hi),
-        ("p_lo", rect.p_interval.lo),
-        ("p_hi", rect.p_interval.hi),
-        ("q_residual_lo", rect.q_interval.residual_lo),
-        ("q_residual_hi", rect.q_interval.residual_hi),
-        ("p_residual_lo", rect.p_interval.residual_lo),
-        ("p_residual_hi", rect.p_interval.residual_hi),
-    )
-    return None, None, [(name, [value]) for name, value in names_values]
+    q, p = rect.q_interval, rect.p_interval
+    names = ("q_lo", "q_hi", "p_lo", "p_hi")
+    names += ("q_residual_lo", "q_residual_hi", "p_residual_lo", "p_residual_hi")
+    row = (q.lo, q.hi, p.lo, p.hi, q.residual_lo, q.residual_hi, p.residual_lo, p.residual_hi)
+    return None, None, _columns(names, [row])
 
 
 def _run_discriminate(cfg: dict):
@@ -386,12 +366,8 @@ def _run_discriminate(cfg: dict):
 
 def _run_probe(cfg: dict):
     results = conjecture_probe(_scenario(ClassicalScenario, cfg), cfg["theta"], cfg["grid"])
-    series = [
-        ("nonmonotonic", [1.0 if r.nonmonotonic else 0.0 for r in results]),
-        ("argmax_sigma", [r.argmax_sigma for r in results]),
-        ("gain", [r.gain for r in results]),
-    ]
-    return "theta", cfg["theta"], series
+    rows = [(1.0 if r.nonmonotonic else 0.0, r.argmax_sigma, r.gain) for r in results]
+    return "theta", cfg["theta"], _columns(("nonmonotonic", "argmax_sigma", "gain"), rows)
 
 
 def _run_mc_check(cfg: dict):
@@ -408,24 +384,31 @@ def _run_mc_check(cfg: dict):
             rows = list(pool.map(point, jobs))
     else:
         rows = [point(job) for job in jobs]
-    names = ("analytic", "estimate", "std_error")
-    series = [(name, [row[i] for row in rows]) for i, name in enumerate(names)]
-    return "sigma", cfg["grid"], series
+    return "sigma", cfg["grid"], _columns(("analytic", "estimate", "std_error"), rows)
 
 
-_RUNNERS = {
-    "sweep": lambda cfg: _theta_series(
-        cfg, partial(success_classical, _scenario(ClassicalScenario, cfg))
+# command -> (its flags in parser order, its runner, the defaults it sets
+# apart from the scenario fields'); each runner reads its layer function
+# when it runs, so a rebound name takes effect
+_COMMANDS = {
+    "sweep": (_CURVES, _run_sweep, {}),
+    "interval": (_CLASSICAL + (("vary", _parse_str),) + _GRID, _run_interval, {}),
+    "rectangle": (_scenario_table(EAScenario), _run_rectangle, {}),
+    "discriminate": (
+        _scenario_table(DiscriminationScenario) + _THETAS + (("interval", _parse_bool),) + _GRID,
+        _run_discriminate,
+        {},
     ),
-    "interval": _run_interval,
-    "rectangle": _run_rectangle,
-    "discriminate": _run_discriminate,
-    # each runner reads its layer function when it runs, so a rebound name takes effect
-    "fidelity": lambda cfg: _run_quantum(cfg, average_fidelity),
-    "negativity": lambda cfg: _run_quantum(cfg, _choi_log_negativity),
-    "private": _run_private,
-    "probe-conjecture": _run_probe,
-    "mc-check": _run_mc_check,
+    "fidelity": (_QUANTUM, lambda cfg: _run_quantum(cfg, average_fidelity), {}),
+    "negativity": (_QUANTUM, lambda cfg: _run_quantum(cfg, _choi_log_negativity), {}),
+    "private": (_CURVES, _run_private, {}),
+    # the conjecture is about sender-site noise, so that is its default
+    "probe-conjecture": (_CURVES, _run_probe, {"site": SITE_SENDER}),
+    "mc-check": (
+        _CLASSICAL + (("theta", _parse_float), ("n", _parse_int)) + _GRID,
+        _run_mc_check,
+        {},
+    ),
 }
 
 
@@ -464,13 +447,12 @@ def format_json(meta: dict, x_values, series) -> str:
 def _render(cfg: dict, x_name, x_values, series) -> str:
     if cfg["format"] == "csv":
         return format_csv(x_name, x_values, series)
-    # science flags only: _FLAGS holds none of the _COMMON output plumbing
-    parameters = {}
-    for name, _ in _FLAGS[cfg["command"]]:
-        value = cfg.get(name)
-        if value is None:
-            continue
-        parameters[name] = list(value) if isinstance(value, tuple) else value
+    # science flags only: a command's flags hold none of the _COMMON output plumbing
+    parameters = {
+        name: list(cfg[name]) if isinstance(cfg[name], tuple) else cfg[name]
+        for name, _ in _COMMANDS[cfg["command"]][0]
+        if cfg[name] is not None
+    }
     meta = {
         "parameters": parameters,
         "command": cfg["command"],
@@ -492,7 +474,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        x_name, x_values, series = _RUNNERS[cfg["command"]](cfg)
+        x_name, x_values, series = _COMMANDS[cfg["command"]][1](cfg)
     except DomainError as exc:
         # bad parameter combinations surface from constructors here
         print(f"error: {cfg['command']}: {exc}", file=sys.stderr)

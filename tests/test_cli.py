@@ -670,19 +670,6 @@ class TestOutputPlumbing:
         _, fanned, _ = run_cli(SWEEP_ARGS + ["--parallel", "2"])
         assert serial == fanned
 
-    def test_env_var_sets_default_parallelism(self, monkeypatch):
-        monkeypatch.setenv("SRBOSONIC_PARALLEL", "2")
-        _, fanned, _ = run_cli(SWEEP_ARGS)
-        monkeypatch.delenv("SRBOSONIC_PARALLEL")
-        _, serial, _ = run_cli(SWEEP_ARGS)
-        assert fanned == serial
-
-    def test_env_var_rejected_when_not_integer(self, monkeypatch):
-        monkeypatch.setenv("SRBOSONIC_PARALLEL", "zero")
-        code, _, err = run_cli(SWEEP_ARGS)
-        assert code == 2
-        assert "integer" in err
-
     def test_parallel_zero_rejected(self):
         code, _, _ = run_cli(SWEEP_ARGS + ["--parallel", "0"])
         assert code == 2
@@ -698,6 +685,41 @@ class TestOutputPlumbing:
         assert code == 2
         assert out == ""
         assert f"cannot write {path}" in err
+
+
+_CLASSICAL_HELP = ("eta", "alpha-q", "r", "prior0", "site")
+_GRID_HELP = ("grid-start", "grid-stop", "grid-step")
+# command -> its own flags in parser order, between --config and the common flags
+_HELP_FLAGS = {
+    "sweep": _CLASSICAL_HELP + ("theta",) + _GRID_HELP,
+    "interval": _CLASSICAL_HELP + ("vary",) + _GRID_HELP,
+    "rectangle": ("eta", "r", "prior-q", "prior-p", "alpha-q", "alpha-p", "theta-q",
+                  "theta-p", "site"),
+    "discriminate": ("eta0", "eta1", "alpha-q", "r", "prior0", "site", "theta", "interval")
+    + _GRID_HELP,
+    "fidelity": ("x0", "theta") + _GRID_HELP,
+    "negativity": ("x0", "theta") + _GRID_HELP,
+    "private": _CLASSICAL_HELP + ("theta",) + _GRID_HELP,
+    "probe-conjecture": _CLASSICAL_HELP + ("theta",) + _GRID_HELP,
+    "mc-check": _CLASSICAL_HELP + ("theta", "n") + _GRID_HELP,
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", sorted(_HELP_FLAGS))
+    def test_lists_exactly_the_command_flags(self, command):
+        code, out, err = run_cli([command, "--help"])
+        assert code == 0
+        assert err == ""
+        options = out.split("\noptions:\n", 1)[1]
+        listed = re.findall(r"^\s+(?:-h, )?--([a-z0-9-]+)", options, flags=re.MULTILINE)
+        common = ("out", "format", "seed", "parallel")
+        assert tuple(listed) == ("help", "config") + _HELP_FLAGS[command] + common
+
+    def test_top_level_lists_every_command(self):
+        code, out, _ = run_cli(["--help"])
+        assert code == 0
+        assert "{" + ",".join(_HELP_FLAGS) + "}" in out
 
 
 def fresh_python(*args):
