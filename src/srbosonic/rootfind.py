@@ -47,7 +47,7 @@ def bisect(
             f"no sign change on bracket [{lo!r}, {hi!r}]: f(lo)={flo!r}, f(hi)={fhi!r}"
         )
     for _ in range(maxit):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # halved first, so brackets near the float range stay finite
         if mid <= lo or mid >= hi:
             break  # bracket at floating-point resolution
         fmid = f(mid)
@@ -59,7 +59,7 @@ def bisect(
             hi = mid
         if hi - lo < xtol:
             break
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def _bracket_and_bisect(

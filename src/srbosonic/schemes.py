@@ -38,27 +38,29 @@ shared noise floor K (v = K / 2: each quadrature of the symmetric
 schemes, receiver-site discrimination at r = 0 with K = 1), dv = 0 and g
 rises strictly in u from negative inside the interval.  For all three,
 _two_level_interval bisects it in u beyond each level within the fixed
-bounds [-1e300, ln 1e300]; _has_closed_form is the one test that sends
-a discrimination scenario there.  Below the near level g(u) ~ gap^2 /
-K - ln gap + u, so a strong signal's root sits near u = -gap^2 / K;
-only gap^2 / K beyond about 1e300 puts it out of bounds, which raises
-SolverError.  Discrimination takes gap = alpha (eta0 - eta1) /
-(sqrt(eta0) + sqrt(eta1)), free of the cancellation in a0 - a1; no log
-prior ratio rounds p0 through 1 - p0.  The critical variance then
-has the closed form sigma*^2 = (a1 - a0) (2 theta - (a0 + a1)) / ln R -
-K, R = p0 (theta - a0) / (p1 (theta - a1)), which at theta = near +- t is
-K^2 g / (gap (gap + 2 t) - K g): the residual fields report it.
+bounds [-1e300, ln of the largest float], so a weak signal's far root,
+near |theta| ~ 1 / alpha_q, solves down to alpha_q ~ 5e-309;
+_has_closed_form is the one test that sends a discrimination scenario
+there.  Below the near level g(u) ~ gap^2 / K - ln gap + u, so a strong
+signal's root sits near u = -gap^2 / K; only gap^2 / K beyond about
+1e300 puts it out of bounds, which raises SolverError.  Discrimination
+takes gap = alpha (eta0 - eta1) / (sqrt(eta0) + sqrt(eta1)), free of the
+cancellation in a0 - a1; no log prior ratio rounds p0 through 1 - p0.
+The critical variance then has the closed form sigma*^2 = (a1 - a0)
+(2 theta - (a0 + a1)) / ln R - K, R = p0 (theta - a0) / (p1 (theta -
+a1)), which at theta = near +- t is K^2 g / (gap (gap + 2 t) - K g): the
+residual fields report it.
 Squeezed or sender-site discrimination has no closed form: its interval
-bisects g(theta, 0) over theta, stepping out from each level in doubling
-steps up to the |theta - level| = 1e300 of the u bounds (a side with no
-sign change walks about a thousand steps, then raises SolverError).  Its
-critical variance is -1.0 wherever g(theta, 0) <= 0, and otherwise the
-zero of g(theta, sigma^2) in sigma^2, bisected to float resolution;
-where g stays positive up to the search bound and its sigma^2 -> inf
-limit ln(p0 / p1) - ln(c0 / c1) / 2 + ln(|theta - a0| / |theta - a1|)
-(negated below a1) is positive, P_s keeps rising and has no finite
-optimum.  One bracket-and-bisect helper, rootfind._bracket_and_bisect,
-finds every root.
+bisects g(theta, 0) over theta to a width of 1e-6 min(1, a0), stepping
+out from each level in doubling steps up to the largest float (a side
+with no sign change walks about a thousand steps, then raises
+SolverError).  Its critical variance is -1.0 wherever g(theta, 0) <= 0,
+and otherwise the zero of g(theta, sigma^2) in sigma^2, bisected to
+float resolution; where g stays positive up to the search bound and its
+sigma^2 -> inf limit ln(p0 / p1) - ln(c0 / c1) / 2 + ln(|theta - a0| /
+|theta - a1|) (negated below a1) is positive, P_s keeps rising and has
+no finite optimum.  One bracket-and-bisect helper,
+rootfind._bracket_and_bisect, finds every root.
 
 The residual is limited by conditioning, not by the solver: u is bisected
 to 1e-14, and the identity divides the rounding of g by gap (gap + 2 t).
@@ -76,6 +78,7 @@ none occurred in 18 000 weak-signal intervals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import KW_ONLY, dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -136,7 +139,7 @@ ROOT_RESIDUAL_TOL = 1e-10
 # value by more than this to count as a resonance.
 SWEEP_MARGIN = 1e-12
 
-_THETA_WIDTH_TOL = 1e-6  # theta bracket width for onset-sign bisection
+_THETA_WIDTH_TOL = 1e-6  # onset-sign bisection width in theta, times min(1, a0)
 
 
 def _check_site(site: str) -> None:
@@ -244,7 +247,9 @@ class ForbiddenInterval:
 
     lo and hi are the two boundary thresholds; residual_lo / residual_hi
     report |sigma*^2| at the returned roots (closed-form solves) or the
-    final theta bracket width (derivative-sign solves).
+    theta width the bisection closes to, 1e-6 min(1, a0) for the upper
+    signal level a0, or float resolution where that is coarser
+    (derivative-sign solves).
     """
 
     lo: float
@@ -582,7 +587,7 @@ def _onset_sign_limit(s: DiscriminationScenario, theta: float) -> float:
 # Forbidden-interval solvers
 
 # start and bounds of the log offset u = ln|theta - level|
-_U_START, _U_FLOOR, _U_CEIL = math.log(1e-6), -1e300, math.log(1e300)
+_U_START, _U_FLOOR, _U_CEIL = math.log(1e-6), -1e300, math.log(sys.float_info.max)
 
 
 def _boundary_root(near: float, gap: float, side: int, lw: float, k: float) -> tuple:
@@ -656,16 +661,21 @@ def forbidden_rectangle(s: EAScenario) -> ForbiddenRectangle:
 
 
 def _interval_by_onset_sign(s: DiscriminationScenario) -> ForbiddenInterval:
-    # No closed form: bisect the exact onset sign over theta on each side.
+    """Interval by bisecting the exact onset sign over theta on each side.
+
+    Each side steps out from its level up to the largest float, and bisects
+    to the width 1e-6 min(1, a0), in the signal's own units below a0 = 1;
+    2100 halvings reach float resolution from the widest bracket.  The
+    width goes into both residual fields.
+    """
     a0, a1 = _discrimination_levels(s)
     onset = partial(_onset_sign, s)
+    width = _THETA_WIDTH_TOL * min(1.0, a0)
     lo, hi = (
-        _bracket_and_bisect(
-            onset, level, onset(level), bound, 0.125, xtol=_THETA_WIDTH_TOL, maxit=200
-        )
-        for level, bound in ((a1, -1e300), (a0, 1e300))
+        _bracket_and_bisect(onset, level, onset(level), bound, 0.125, xtol=width, maxit=2100)
+        for level, bound in ((a1, -sys.float_info.max), (a0, sys.float_info.max))
     )
-    return ForbiddenInterval(lo, hi, _THETA_WIDTH_TOL, _THETA_WIDTH_TOL)
+    return ForbiddenInterval(lo, hi, width, width)
 
 
 def forbidden_interval_discrimination(s: DiscriminationScenario) -> ForbiddenInterval:
@@ -677,8 +687,9 @@ def forbidden_interval_discrimination(s: DiscriminationScenario) -> ForbiddenInt
     4.8e-11) when the levels lie at least 0.01 apart; closer levels keep
     theta to ~1e-14 with an ill-conditioned residual, up to O(1e3) (see the
     module's solver notes).  Squeezed or sender-site scenarios bisect the
-    exact sign of d P_s / d sigma^2 at sigma^2 = 0+ over theta to width
-    1e-6 (reported in the residual fields).
+    exact sign of d P_s / d sigma^2 at sigma^2 = 0+ over theta, out to the
+    float range, to width 1e-6 min(1, sqrt(eta0) alpha_q) (reported in the
+    residual fields).
     """
     _check_solvable(s.prior0, s.alpha_q, "forbidden interval")
     if not _has_closed_form(s):

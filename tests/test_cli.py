@@ -722,6 +722,32 @@ class TestHelp:
         assert "{" + ",".join(_HELP_FLAGS) + "}" in out
 
 
+_WEAK_ONSET = ["discriminate", "--eta0", "0.9", "--eta1", "0.4", "--site", "sender", "--interval"]
+_WEAK_CLOSED_FORM = ["interval", "--eta", "1", "--prior0", "0.3"]
+
+
+class TestWeakSignalBoundaries:
+    # theta- ~ -1.28e300 and -2.12e301: finite floats, bisected out to the float range
+    @pytest.mark.parametrize("argv", [
+        _WEAK_ONSET + ["--alpha-q", "1e-300"],
+        _WEAK_CLOSED_FORM + ["--alpha-q", "1e-302"],
+    ])
+    def test_exits_0_with_a_finite_lower_boundary(self, argv):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert math.isfinite(rows[0][0]) and rows[0][0] < -1e300
+
+    @pytest.mark.parametrize("argv, bound", [
+        (_WEAK_ONSET + ["--alpha-q", "1e-320"], "-1.7976931348623157e+308"),
+        (_WEAK_CLOSED_FORM + ["--alpha-q", "1e-320"], "709.782712893384"),
+    ])
+    def test_beyond_the_float_range_names_the_bound(self, argv, bound):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (3, "")
+        assert err.endswith(f"and the search bound {bound}\n")
+
+
 def fresh_python(*args):
     """stdout of ``python *args`` in a fresh interpreter that imports this srbosonic."""
     src = str(pathlib.Path(srbosonic.__file__).resolve().parents[1])

@@ -877,6 +877,65 @@ class TestDiscrimination:
             critical_sigma2_discrimination(disc_scenario(), math.sqrt(0.7))
 
 
+def sender_onset_oracle(eta0, eta1, alpha_q, prior0, side):
+    """50-digit boundary of an r = 0 sender-site interval, beyond a0 (side +1) or a1 (-1).
+
+    At r = 0 both hypotheses have variance 1/2 at sigma^2 = 0, so the onset
+    sign is decimal_boundary's g on the noise floor 1, with the weights
+    eta_x folded into the prior: p' = p0 eta0 / (p0 eta0 + p1 eta1).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e0, e1, a, p0 = Decimal(eta0), Decimal(eta1), Decimal(alpha_q), Decimal(prior0)
+        a0, a1 = e0.sqrt() * a, e1.sqrt() * a
+        w = p0 * e0 / (p0 * e0 + (1 - p0) * e1)
+        if side > 0:
+            return decimal_boundary(a0, a0 - a1, +1, w, 1)
+        return decimal_boundary(a1, a0 - a1, -1, 1 - w, 1)
+
+
+class TestWeakSignalBoundaries:
+    # theta- sits near -1.28 / alpha_q (onset path) and -0.212 / alpha_q
+    # (closed form), so it stays a finite float down to alpha_q ~ 1e-308
+    @pytest.mark.parametrize("alpha_q", [1e-3, 1e-12, 1e-300, 1e-308])
+    def test_onset_lower_boundary_to_the_float_range(self, alpha_q):
+        s = DiscriminationScenario(eta0=0.9, eta1=0.4, alpha_q=alpha_q, noise_site="sender")
+        want = sender_onset_oracle(0.9, 0.4, alpha_q, 0.5, -1)
+        got = forbidden_interval_discrimination(s).lo
+        assert abs(Decimal(got) - want) <= Decimal("1e-12") * abs(want), (got, want)
+
+    @pytest.mark.parametrize("alpha_q", [1e-299, 1e-302, 1e-308, 5e-309])
+    def test_closed_form_lower_boundary_to_the_float_range(self, alpha_q):
+        m = Decimal(alpha_q)  # sqrt(eta) alpha_q at eta = 1, on the noise floor 1
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = decimal_boundary(-m, 2 * m, -1, Decimal(0.3), 1)
+        got = forbidden_interval_classical(
+            ClassicalScenario(eta=1.0, alpha_q=alpha_q, prior0=0.3)
+        ).lo
+        assert abs(Decimal(got) - want) <= Decimal("1e-12") * abs(want), (got, want)
+
+    @pytest.mark.parametrize("alpha_q", [1e-3, 1e-6, 1e-12, 1e-300, 1e-308])
+    def test_onset_upper_boundary_within_its_width(self, alpha_q):
+        # theta+ ~ 1.201665 alpha_q; a fixed width of 1e-6 would swamp it
+        iv = forbidden_interval_discrimination(
+            DiscriminationScenario(eta0=0.9, eta1=0.4, alpha_q=alpha_q, noise_site="sender")
+        )
+        assert iv.residual_hi == 1e-6 * (math.sqrt(0.9) * alpha_q)
+        want = sender_onset_oracle(0.9, 0.4, alpha_q, 0.5, +1)
+        assert abs(Decimal(iv.hi) - want) <= Decimal(iv.residual_hi), (iv.hi, want)
+
+    def test_near_equal_levels_within_their_width(self):
+        # the levels lie 5.2e-7 apart and theta+ - a0 is 1.9e-7
+        kw = dict(eta0=0.6807643, eta1=0.6806803, alpha_q=0.0103052, prior0=0.7906555)
+        iv = forbidden_interval_discrimination(DiscriminationScenario(**kw, noise_site="sender"))
+        a0 = math.sqrt(kw["eta0"]) * kw["alpha_q"]
+        assert iv.residual_lo == iv.residual_hi == 1e-6 * a0
+        for got, width, side in ((iv.lo, iv.residual_lo, -1), (iv.hi, iv.residual_hi, +1)):
+            want = sender_onset_oracle(*kw.values(), side)
+            assert abs(Decimal(got) - want) <= Decimal(width), (got, want)
+
+
 class TestSweep:
     def test_flags_match_figure_behavior(self):
         s = fig_scenario()
