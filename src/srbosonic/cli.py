@@ -22,9 +22,9 @@ using the long flag names; command-line flags override file values.
 
 Only ``mc-check`` (10^6 samples per point by default) fans its points out
 to worker processes; ``--parallel`` (default 1) sets its worker count,
-which never exceeds the grid points or the CPU cores.  Every other command runs
-serially: a point costs microseconds (a χ about a millisecond), less than
-starting a worker and shipping it the job.
+which never exceeds the grid points or the CPU cores.  Every other
+command runs serially: a point costs microseconds (a χ about a
+millisecond), less than starting a worker and shipping it the job.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def _scenario(cls, cfg: dict):
     return cls(**{name: cfg[flag] for name, flag in _SCENARIO_FLAGS[cls]})
 
 
-# (flag name, converter) pairs; single source of truth for the parser, the
+# flag name -> converter; single source of truth for the parser, the
 # config-file key set, and the resolver
 _COMMON = (
     ("out", _parse_str),
