@@ -29,50 +29,43 @@ there).  Beyond either level, with d = e^u the distance to that near
 level, gap the distance on to the far one, lw = ln(p_n c_n / (p_f c_f))
 and dv = v_n - v_f, one function writes it as
 
-    g(u) = lw - log1p(gap / d) + gap (2 d + gap) / (2 v_f)
-           + d^2 dv / (2 v_n v_f) - 1.5 log1p(dv / v_f),
+    g(u) = c0 - log1p(gap / d) + c1 d + c2 d^2,    c1 = gap / v_f > 0,
+    c0 = lw + gap^2 / (2 v_f) - 1.5 log1p(dv / v_f),  c2 = dv / (2 v_n v_f),
 
 so the large (theta - a_x)^2 / (2 v_x) never cancel, and log1p(gap / d),
-a softplus of ln gap - u, evaluates even where d underflows.  With one
-shared noise floor K (v = K / 2: each quadrature of the symmetric
-schemes, receiver-site discrimination at r = 0 with K = 1), dv = 0 and g
-rises strictly in u from negative inside the interval.  For all three,
-_two_level_interval bisects it in u beyond each level within the fixed
-bounds [-1e300, ln of the largest float], so a weak signal's far root,
-near |theta| ~ 1 / alpha_q, solves down to alpha_q ~ 5e-309;
-_has_closed_form is the one test that sends a discrimination scenario
-there.  Below the near level g(u) ~ gap^2 / K - ln gap + u, so a strong
-signal's root sits near u = -gap^2 / K; only gap^2 / K beyond about
-1e300 puts it out of bounds, which raises SolverError.  Discrimination
-takes gap = alpha (eta0 - eta1) / (sqrt(eta0) + sqrt(eta1)), free of the
-cancellation in a0 - a1; no log prior ratio rounds p0 through 1 - p0.
-The critical variance then has the closed form sigma*^2 = (a1 - a0)
-(2 theta - (a0 + a1)) / ln R - K, R = p0 (theta - a0) / (p1 (theta -
-a1)), which at theta = near +- t is K^2 g / (gap (gap + 2 t) - K g): the
-residual fields report it.
-Squeezed or sender-site discrimination has no closed form: its interval
-bisects g(theta, 0) over theta to a width of 1e-6 min(1, a0), stepping
-out from each level in doubling steps up to the largest float (a side
-with no sign change walks about a thousand steps, then raises
-SolverError).  Its critical variance is -1.0 wherever g(theta, 0) <= 0,
-and otherwise the zero of g(theta, sigma^2) in sigma^2, bisected to
-float resolution; where g stays positive up to the search bound and its
+a softplus of ln gap - u, evaluates even where d underflows.
+
+One solver, _boundary_root, finds every side of every interval as a root
+of g in u, within the fixed bounds [-1e300, ln of the largest float].
+Where dv >= 0, every term of g rises with d, so a doubling walk from u =
+ln 1e-6 brackets its single zero, which bisection closes to 1e-14 in u.
+That is every side but the upper one of squeezed discrimination, where
+v0 < v1.  There dv < 0, and g is strictly concave in d and tends to -inf
+at both ends, so dg/du = gap / (d + gap) + d (c1 + 2 c2 d) changes sign
+exactly once, at the peak of g, and the same walk finds it.  A peak at
+or below 0 means that no threshold beyond a0 is helped at sigma^2 = 0+,
+and raises SolverError naming the peak; otherwise the walk goes down
+from the peak to the first zero.  Discrimination takes gap = alpha (eta0
+- eta1) / (sqrt(eta0) + sqrt(eta1)), free of the cancellation in a0 -
+a1, and writes the variances at sigma^2 = 0 as (1 + eta_x expm1(-2r)) /
+2, exactly 1/2 at r = 0; no log prior ratio rounds p0 through 1 - p0.  A
+weak signal's far root, near |theta| ~ 1 / alpha_q, solves down to
+alpha_q ~ 5e-309; a strong signal's root near u = -gap^2 / K (v = K / 2)
+rounds to the level itself.  Each residual field is the theta width of
+u's final bracket, |theta(u + w) - theta(u - w)| with w = max(0.5e-14,
+ulp(u)): about 2e-14 |theta - level| plus the rounding of theta, and 0
+where both ends of the bracket round to theta.
+
+With one noise floor K, the critical variance has the closed form
+sigma*^2 = (a1 - a0) (2 theta - (a0 + a1)) / ln R - K, R = p0 (theta -
+a0) / (p1 (theta - a1)).  Squeezed or sender-site discrimination has
+none: its critical variance is -1.0 wherever g(theta, 0) <= 0, and
+otherwise the zero of g(theta, sigma^2) in sigma^2, bisected to float
+resolution; where g stays positive up to the search bound and its
 sigma^2 -> inf limit ln(p0 / p1) - ln(c0 / c1) / 2 + ln(|theta - a0| /
 |theta - a1|) (negated below a1) is positive, P_s keeps rising and has
 no finite optimum.  One bracket-and-bisect helper,
 rootfind._bracket_and_bisect, finds every root.
-
-The residual is limited by conditioning, not by the solver: u is bisected
-to 1e-14, and the identity divides the rounding of g by gap (gap + 2 t).
-On 4000 random scenarios per band (priors down to 1e-9) it stayed within
-ROOT_RESIDUAL_TOL (worst 2.5e-11 symmetric, 4.8e-11 discrimination) for
-levels at least 0.01 apart (2 sqrt(eta) alpha_q, or a0 - a1), reached
-1e-7 and 1.6e-7 down to 2e-4, and 26 and 4.2e3 down to 1e-10, where
-theta is still within 1e-14 of a 50-digit root.  No check enforces the
-tolerance, since that would reject valid weak-signal inputs.  A strong
-signal's root can sit below one float ulp of its level; theta is then
-the correctly rounded level.  A zero denominator raises SolverError;
-none occurred in 18 000 weak-signal intervals.
 """
 
 from __future__ import annotations
@@ -131,15 +124,13 @@ SITE_SENDER = "sender"
 SITE_RECEIVER = "receiver"
 _SITES = (SITE_SENDER, SITE_RECEIVER)
 
-# Residual in sigma*^2 that closed-form boundaries keep when the signal levels
-# lie at least 0.01 apart (measured worst 5e-11, not checked); weak signals
-# exceed it with theta right to ~1e-14, as the identity is ill-conditioned.
+# Theta width of a boundary's final bracket (its residual field) when the
+# levels lie at least 0.01 apart: measured worst 1.7e-11 on 4000 random
+# scenarios per scheme, priors down to 1e-9; not checked.  It grows with |theta|.
 ROOT_RESIDUAL_TOL = 1e-10
 # Non-monotonicity margin for sweeps: the curve must beat its sigma-start
 # value by more than this to count as a resonance.
 SWEEP_MARGIN = 1e-12
-
-_THETA_WIDTH_TOL = 1e-6  # onset-sign bisection width in theta, times min(1, a0)
 
 
 def _check_site(site: str) -> None:
@@ -246,10 +237,9 @@ class ForbiddenInterval:
     """Threshold interval on which added noise cannot improve decoding.
 
     lo and hi are the two boundary thresholds; residual_lo / residual_hi
-    report |sigma*^2| at the returned roots (closed-form solves) or the
-    theta width the bisection closes to, 1e-6 min(1, a0) for the upper
-    signal level a0, or float resolution where that is coarser
-    (derivative-sign solves).
+    are the theta widths of the final brackets of their roots in u =
+    ln|theta - level| (see the module's solver notes), 0 where both ends
+    of a bracket round to the returned threshold.
     """
 
     lo: float
@@ -391,11 +381,6 @@ def _discrimination_gap(s: DiscriminationScenario) -> float:
     return s.alpha_q * (s.eta0 - s.eta1) / (math.sqrt(s.eta0) + math.sqrt(s.eta1))
 
 
-def _has_closed_form(s: DiscriminationScenario) -> bool:
-    # receiver-site noise at r = 0, so both hypotheses share the noise floor 1
-    return s.r == 0.0 and s.noise_site == SITE_RECEIVER
-
-
 def _discrimination_variances(s: DiscriminationScenario, sigma2: float) -> tuple:
     return tuple(
         _total_variance(_noise_floor_classical(eta, s.r), eta, s.noise_site, sigma2)
@@ -508,7 +493,7 @@ def critical_sigma2_discrimination(s: DiscriminationScenario, theta: float) -> f
     """
     theta = _finite("theta", theta)
     _check_solvable(s.prior0, s.alpha_q, "critical noise level")
-    if not _has_closed_form(s):
+    if s.r != 0.0 or s.noise_site == SITE_SENDER:  # no shared noise floor
         g0 = _onset_sign(s, theta)
         if g0 <= 0.0:
             return -1.0
@@ -549,6 +534,22 @@ def _slope_sign(
     return g
 
 
+def _discrimination_side(s: DiscriminationScenario, above: bool, sigma2: float) -> tuple:
+    """(near level, lw, v_n, v_f, dv) of g beyond a0 (above) or below a1 at sigma2.
+
+    The total variances are written (1 + eta_x expm1(-2r) + sigma_x^2) / 2,
+    exactly 1/2 at r = sigma^2 = 0.
+    """
+    sender = s.noise_site == SITE_SENDER
+    x = math.expm1(-2.0 * s.r) + (sigma2 if sender else 0.0)
+    v0, v1 = (0.5 * (1.0 + eta * x + (0.0 if sender else sigma2)) for eta in (s.eta0, s.eta1))
+    # hypothesis 0 against 1: ln(p0 c0 / (p1 c1)) and v0 - v1
+    lw = _log_odds(s.prior0) + (math.log(s.eta0 / s.eta1) if sender else 0.0)
+    dv = 0.5 * (s.eta0 - s.eta1) * x
+    a0, a1 = _discrimination_levels(s)
+    return (a0, lw, v0, v1, dv) if above else (a1, -lw, v1, v0, -dv)
+
+
 def _onset_sign(s: DiscriminationScenario, theta: float, sigma2: float = 0.0) -> float:
     """g(theta, sigma^2) at u = ln|theta - near level|.
 
@@ -558,16 +559,8 @@ def _onset_sign(s: DiscriminationScenario, theta: float, sigma2: float = 0.0) ->
     a0, a1 = _discrimination_levels(s)
     if a1 <= theta <= a0:
         return -math.inf  # the curve always falls between the levels
-    sender = s.noise_site == SITE_SENDER
-    v0, v1 = _discrimination_variances(s, sigma2)
-    # hypothesis 0 against 1: ln(p0 c0 / (p1 c1)) and v0 - v1
-    lw = _log_odds(s.prior0) + (math.log(s.eta0 / s.eta1) if sender else 0.0)
-    dv = 0.5 * (s.eta0 - s.eta1) * (math.expm1(-2.0 * s.r) + (sigma2 if sender else 0.0))
-    if theta > a0:  # a0 is the near level
-        d, v_n, v_f = theta - a0, v0, v1
-    else:
-        d, v_n, v_f, lw, dv = a1 - theta, v1, v0, -lw, -dv
-    return _slope_sign(_discrimination_gap(s), lw, v_n, v_f, dv)(math.log(d))
+    near, *side = _discrimination_side(s, theta > a0, sigma2)
+    return _slope_sign(_discrimination_gap(s), *side)(math.log(abs(theta - near)))
 
 
 def _onset_sign_limit(s: DiscriminationScenario, theta: float) -> float:
@@ -590,54 +583,72 @@ def _onset_sign_limit(s: DiscriminationScenario, theta: float) -> float:
 _U_START, _U_FLOOR, _U_CEIL = math.log(1e-6), -1e300, math.log(sys.float_info.max)
 
 
-def _boundary_root(near: float, gap: float, side: int, lw: float, k: float) -> tuple:
-    """(theta, |sigma*^2| residual) of the boundary theta = near + side e^u.
+def _rising_root(f: Callable[[float], float], u: float = _U_START) -> float:
+    # the zero of f, which rises in u, by a doubling walk from u, bisected to 1e-14
+    f0 = f(u)
+    if f0 == 0.0:
+        return u
+    bound = _U_CEIL if f0 < 0.0 else _U_FLOOR
+    return _bracket_and_bisect(f, u, f0, bound, math.log(2.0), xtol=1e-14, maxit=300)
 
-    The levels lie gap apart and share the noise floor k; lw is ln(p_near /
-    p_far).  A root below float resolution returns near itself.
+
+def _boundary_root(
+    near: float, gap: float, side: int, lw: float, v_n: float, v_f: float, dv: float
+) -> tuple:
+    """(theta, theta width of the final bracket) of the boundary theta = near + side e^u.
+
+    g of the module's solver notes rises in u, up to a peak that only dv < 0
+    brings into range; the boundary is its first zero.  A root below float
+    resolution returns near itself.
     """
-    g = _slope_sign(gap, lw, 0.5 * k, 0.5 * k, 0.0)
-    u_root = _U_START
-    f0 = g(u_root)
-    if f0 != 0.0:
-        bound = _U_CEIL if f0 < 0.0 else _U_FLOOR  # g < 0 inside the interval
-        u_root = _bracket_and_bisect(g, u_root, f0, bound, math.log(2.0), xtol=1e-14, maxit=300)
-    t = math.exp(u_root)
-    g_val = g(u_root)
-    den = gap * (gap + 2.0 * t) - k * g_val
-    if den == 0.0:
-        raise SolverError(
-            f"sigma*^2 diverges at the forbidden-interval boundary next to signal "
-            f"level {near!r}: its residual identity has a zero denominator"
-        )
-    return near + side * t, abs(k * k * g_val / den)
+    g = _slope_sign(gap, lw, v_n, v_f, dv)
+    u = _U_START
+    if dv < 0.0:
+        c1, c2 = gap / v_f, dv / (v_n * v_f)
+
+        def fall(x: float) -> float:  # -dg/du, rising in u through the peak of g
+            d = math.exp(x)
+            return -gap / (d + gap) - d * (c1 + c2 * d)
+
+        u = _rising_root(fall) if fall(_U_CEIL) > 0.0 else _U_CEIL  # else g rises to the bound
+        peak = g(u)
+        if peak <= 0.0:
+            raise SolverError(
+                f"no threshold beyond signal level {near!r} is helped by noise at sigma^2 = 0+: "
+                f"the slope sign peaks at {peak!r} <= 0, at theta = {near + side * math.exp(u)!r}"
+            )
+    u = _rising_root(g, u)
+    w = max(0.5e-14, math.ulp(u))
+    inner, outer = (near + side * math.exp(x) for x in (u - w, min(u + w, _U_CEIL)))
+    return near + side * math.exp(u), abs(outer - inner)
 
 
-def _two_level_interval(lo: float, hi: float, gap: float, lw: float, k: float) -> ForbiddenInterval:
-    # Closed form: levels lo < hi lie gap apart on the noise floor k, lw =
-    # ln(p_hi / p_lo), and the far level of each boundary is the other one.
-    theta_hi, res_hi = _boundary_root(hi, gap, +1, lw, k)
-    theta_lo, res_lo = _boundary_root(lo, gap, -1, -lw, k)
+def _interval(gap: float, upper: tuple, lower: tuple) -> ForbiddenInterval:
+    # upper and lower are the (near level, lw, v_n, v_f, dv) of the sides
+    # beyond the upper and the lower level, which lie gap apart
+    theta_hi, res_hi = _boundary_root(upper[0], gap, +1, *upper[1:])
+    theta_lo, res_lo = _boundary_root(lower[0], gap, -1, *lower[1:])
     return ForbiddenInterval(lo=theta_lo, hi=theta_hi, residual_lo=res_lo, residual_hi=res_hi)
 
 
 def _symmetric_interval(m: float, k: float, prior0: float) -> ForbiddenInterval:
-    # Levels -m (prior0) and +m.
+    # Levels -m (prior0) and +m, each of variance k / 2.
     _check_solvable(prior0, m, "forbidden interval")
-    return _two_level_interval(-m, m, 2.0 * m, -_log_odds(prior0), k)
+    v, lw = 0.5 * k, _log_odds(prior0)
+    return _interval(2.0 * m, (m, -lw, v, v, 0.0), (-m, lw, v, v, 0.0))
 
 
 def forbidden_interval_classical(s: ClassicalScenario) -> ForbiddenInterval:
     """Threshold interval of guaranteed monotone noise response (classical).
 
-    Boundaries are roots of sigma*^2(theta) = 0; the residual fields report
-    |sigma*^2| there, within ROOT_RESIDUAL_TOL (worst measured 2.5e-11) for
-    signal levels sqrt(eta) alpha_q >= 0.005.  Weaker signals keep theta to
-    ~1e-14, but their residual is ill-conditioned, up to O(10) (see the
-    module's solver notes).  They bracket the signal levels: lo <=
-    -sqrt(eta) alpha_q < sqrt(eta) alpha_q <= hi.  The interval does not
-    depend on the noise-injection site since sender and receiver curves
-    differ only by the reparametrization sigma^2 -> eta sigma^2.
+    Boundaries are the zeros of d P_s / d sigma^2 at sigma^2 = 0+, the roots
+    of sigma*^2(theta) = 0; the residual fields report the theta width of
+    each root's final bracket, within ROOT_RESIDUAL_TOL for signal levels
+    sqrt(eta) alpha_q >= 0.005 (see the module's solver notes).  They
+    bracket the signal levels: lo <= -sqrt(eta) alpha_q < sqrt(eta) alpha_q
+    <= hi.  The interval does not depend on the noise-injection site since
+    sender and receiver curves differ only by the reparametrization
+    sigma^2 -> eta sigma^2.
     """
     m = math.sqrt(s.eta) * s.alpha_q
     k = _noise_floor_classical(s.eta, s.r)
@@ -660,43 +671,20 @@ def forbidden_rectangle(s: EAScenario) -> ForbiddenRectangle:
     return ForbiddenRectangle(q_interval=q_int, p_interval=p_int)
 
 
-def _interval_by_onset_sign(s: DiscriminationScenario) -> ForbiddenInterval:
-    """Interval by bisecting the exact onset sign over theta on each side.
-
-    Each side steps out from its level up to the largest float, and bisects
-    to the width 1e-6 min(1, a0), in the signal's own units below a0 = 1;
-    2100 halvings reach float resolution from the widest bracket.  The
-    width goes into both residual fields.
-    """
-    a0, a1 = _discrimination_levels(s)
-    onset = partial(_onset_sign, s)
-    width = _THETA_WIDTH_TOL * min(1.0, a0)
-    lo, hi = (
-        _bracket_and_bisect(onset, level, onset(level), bound, 0.125, xtol=width, maxit=2100)
-        for level, bound in ((a1, -sys.float_info.max), (a0, sys.float_info.max))
-    )
-    return ForbiddenInterval(lo, hi, width, width)
-
-
 def forbidden_interval_discrimination(s: DiscriminationScenario) -> ForbiddenInterval:
     """Threshold interval of monotone noise response for discrimination.
 
     Boundaries obey lo <= sqrt(eta1) alpha_q < sqrt(eta0) alpha_q <= hi.
-    Receiver-site noise with r = 0 solves the stationary-condition roots and
-    reports |sigma*^2| there, within ROOT_RESIDUAL_TOL (worst measured
-    4.8e-11) when the levels lie at least 0.01 apart; closer levels keep
-    theta to ~1e-14 with an ill-conditioned residual, up to O(1e3) (see the
-    module's solver notes).  Squeezed or sender-site scenarios bisect the
-    exact sign of d P_s / d sigma^2 at sigma^2 = 0+ over theta, out to the
-    float range, to width 1e-6 min(1, sqrt(eta0) alpha_q) (reported in the
-    residual fields).
+    Each is a zero of the exact sign of d P_s / d sigma^2 at sigma^2 = 0+,
+    at either site and any squeezing, and its residual field is the theta
+    width of its final bracket (see the module's solver notes).  With
+    squeezing, where v0 < v1 at sigma^2 = 0, the slope sign beyond a0 can
+    stay negative at every threshold; that raises SolverError naming its
+    peak.
     """
     _check_solvable(s.prior0, s.alpha_q, "forbidden interval")
-    if not _has_closed_form(s):
-        return _interval_by_onset_sign(s)
-    # Levels a0 (prior0) > a1 on the noise floor 1.
-    a0, a1 = _discrimination_levels(s)
-    return _two_level_interval(a1, a0, _discrimination_gap(s), _log_odds(s.prior0), 1.0)
+    sides = (_discrimination_side(s, above, 0.0) for above in (True, False))
+    return _interval(_discrimination_gap(s), *sides)
 
 
 # ---------------------------------------------------------------------------

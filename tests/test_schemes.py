@@ -1,6 +1,7 @@
 """Tests for scheme composition and the stochastic-resonance solvers."""
 
 import math
+import random
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -861,6 +862,14 @@ class TestDiscrimination:
         assert iv.lo == pytest.approx(-1266705.73, abs=0.01)
         assert _onset_sign(s, iv.lo - 1e-6) > 0.0 > _onset_sign(s, iv.lo + 1e-6)
 
+    @pytest.mark.parametrize("r", [1e-300, 1e-310, 1e-320])
+    def test_peak_beyond_the_float_range(self, r):
+        # squeezing this weak puts the peak of the slope sign above a0 past
+        # the largest float, so g rises over the whole search range there
+        iv = forbidden_interval_discrimination(disc_scenario(r=r))
+        closed = forbidden_interval_discrimination(disc_scenario())
+        assert (iv.lo, iv.hi) == pytest.approx((closed.lo, closed.hi), abs=1e-14)
+
     def test_squeezing_trend_matches_classical_behavior(self):
         widths = []
         for r in (0.0, 0.3, 0.6, 0.9):
@@ -894,6 +903,13 @@ def sender_onset_oracle(eta0, eta1, alpha_q, prior0, side):
         return decimal_boundary(a1, a0 - a1, -1, 1 - w, 1)
 
 
+def assert_within_width(got, width, want):
+    # theta lies within its residual (the theta width of its final bracket)
+    # plus half an ulp of the oracle
+    slack = Decimal(width) + Decimal(math.ulp(got)) / 2
+    assert abs(Decimal(got) - want) <= slack, (got, width, want)
+
+
 class TestWeakSignalBoundaries:
     # theta- sits near -1.28 / alpha_q (onset path) and -0.212 / alpha_q
     # (closed form), so it stays a finite float down to alpha_q ~ 1e-308
@@ -921,19 +937,91 @@ class TestWeakSignalBoundaries:
         iv = forbidden_interval_discrimination(
             DiscriminationScenario(eta0=0.9, eta1=0.4, alpha_q=alpha_q, noise_site="sender")
         )
-        assert iv.residual_hi == 1e-6 * (math.sqrt(0.9) * alpha_q)
         want = sender_onset_oracle(0.9, 0.4, alpha_q, 0.5, +1)
-        assert abs(Decimal(iv.hi) - want) <= Decimal(iv.residual_hi), (iv.hi, want)
+        assert_within_width(iv.hi, iv.residual_hi, want)
 
     def test_near_equal_levels_within_their_width(self):
         # the levels lie 5.2e-7 apart and theta+ - a0 is 1.9e-7
         kw = dict(eta0=0.6807643, eta1=0.6806803, alpha_q=0.0103052, prior0=0.7906555)
         iv = forbidden_interval_discrimination(DiscriminationScenario(**kw, noise_site="sender"))
-        a0 = math.sqrt(kw["eta0"]) * kw["alpha_q"]
-        assert iv.residual_lo == iv.residual_hi == 1e-6 * a0
         for got, width, side in ((iv.lo, iv.residual_lo, -1), (iv.hi, iv.residual_hi, +1)):
             want = sender_onset_oracle(*kw.values(), side)
-            assert abs(Decimal(got) - want) <= Decimal(width), (got, want)
+            assert_within_width(got, width, want)
+
+    def test_weak_signal_residual_is_a_few_ulps(self):
+        # interval --eta 0.5 --alpha-q 1e-8 --prior0 0.01: theta+ lies 1.4e-10
+        # above its level, and its bracket spans a few ulps of theta+, while
+        # |sigma*^2| at that correctly rounded root is 1.2966
+        iv = forbidden_interval_classical(ClassicalScenario(eta=0.5, alpha_q=1e-8, prior0=0.01))
+        assert iv.residual_hi <= 4 * math.ulp(iv.hi)
+        m = Decimal(math.sqrt(0.5) * 1e-8)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = decimal_boundary(m, 2 * m, +1, 1 - Decimal(0.01), 1)
+        assert_within_width(iv.hi, iv.residual_hi, want)
+
+    def test_far_boundary_residual_covers_its_float_spacing(self):
+        # discriminate --eta0 0.9 --eta1 0.4 --alpha-q 1e-300 --site sender
+        # --interval: theta- ~ -1.28e300, where floats lie ~1.5e284 apart, so
+        # no width in the signal's units (1e-6 a0 = 9.5e-307) can hold it
+        iv = forbidden_interval_discrimination(
+            DiscriminationScenario(eta0=0.9, eta1=0.4, alpha_q=1e-300, noise_site="sender")
+        )
+        assert iv.residual_lo >= math.ulp(iv.lo)
+        assert_within_width(iv.lo, iv.residual_lo, sender_onset_oracle(0.9, 0.4, 1e-300, 0.5, -1))
+
+
+def census_draws(seed, n):
+    """n discrimination scenarios at both sites, squeezed or not, from random.Random(seed)."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        eta1 = rng.uniform(0.05, 0.9)
+        eta0 = rng.uniform(eta1 + 0.01, 0.99)
+        alpha_q = rng.uniform(0.1, 3.0)
+        prior0 = rng.uniform(0.05, 0.95)
+        site = rng.choice(("sender", "receiver"))
+        r = rng.uniform(0.0, 1.0) if site == "sender" else rng.uniform(0.01, 1.0)
+        yield DiscriminationScenario(
+            eta0=eta0, eta1=eta1, alpha_q=alpha_q, r=r, prior0=prior0, noise_site=site
+        )
+
+
+class TestOnsetCensus:
+    """The first 500 draws of the seed-1 census: every interval side solves or
+    is unbounded, and the ones that solve are sign changes of the onset sign."""
+
+    @classmethod
+    def setup_class(cls):
+        cls.SOLVED, cls.FAILED = {}, {}
+        for i, s in enumerate(census_draws(1, 500)):
+            try:
+                cls.SOLVED[i] = (s, forbidden_interval_discrimination(s))
+            except SolverError as exc:
+                cls.FAILED[i] = (s, str(exc))
+
+    def test_only_squeezed_upper_sides_fail(self):
+        assert self.FAILED
+        for s, message in self.FAILED.values():
+            a0 = math.sqrt(s.eta0) * s.alpha_q
+            assert s.r > 0.0 and f"beyond signal level {a0!r}" in message, message
+
+    def test_every_side_is_a_sign_change_across_its_width(self):
+        for s, iv in self.SOLVED.values():
+            for theta, width, side in ((iv.lo, iv.residual_lo, -1), (iv.hi, iv.residual_hi, +1)):
+                step = width + math.ulp(theta)
+                inner, outer = theta - side * step, theta + side * step
+                assert _onset_sign(s, inner) <= 0.0 < _onset_sign(s, outer), (s, side)
+
+    def test_failures_are_never_helped_above_the_upper_level(self):
+        # offsets 1e-12 to 1e10 above a0, ten per decade
+        offsets = [10.0 ** (k / 10) for k in range(-120, 101)]
+        for s, _ in self.FAILED.values():
+            a0 = math.sqrt(s.eta0) * s.alpha_q
+            assert all(_onset_sign(s, a0 + t) <= 0.0 for t in offsets), s
+
+    def test_draws_the_theta_walk_stepped_over_now_solve(self):
+        # a positive hump of the onset sign above a0 that doubling theta steps missed
+        assert {179, 187, 206} <= self.SOLVED.keys()
 
 
 class TestSweep:
