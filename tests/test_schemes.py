@@ -992,21 +992,21 @@ class TestOnsetCensus:
 
     @classmethod
     def setup_class(cls):
-        cls.SOLVED, cls.FAILED = {}, {}
+        cls.solved, cls.failed = {}, {}
         for i, s in enumerate(census_draws(1, 500)):
             try:
-                cls.SOLVED[i] = (s, forbidden_interval_discrimination(s))
+                cls.solved[i] = (s, forbidden_interval_discrimination(s))
             except SolverError as exc:
-                cls.FAILED[i] = (s, str(exc))
+                cls.failed[i] = (s, str(exc))
 
     def test_only_squeezed_upper_sides_fail(self):
-        assert self.FAILED
-        for s, message in self.FAILED.values():
+        assert self.failed
+        for s, message in self.failed.values():
             a0 = math.sqrt(s.eta0) * s.alpha_q
             assert s.r > 0.0 and f"beyond signal level {a0!r}" in message, message
 
     def test_every_side_is_a_sign_change_across_its_width(self):
-        for s, iv in self.SOLVED.values():
+        for s, iv in self.solved.values():
             for theta, width, side in ((iv.lo, iv.residual_lo, -1), (iv.hi, iv.residual_hi, +1)):
                 step = width + math.ulp(theta)
                 inner, outer = theta - side * step, theta + side * step
@@ -1015,13 +1015,13 @@ class TestOnsetCensus:
     def test_failures_are_never_helped_above_the_upper_level(self):
         # offsets 1e-12 to 1e10 above a0, ten per decade
         offsets = [10.0 ** (k / 10) for k in range(-120, 101)]
-        for s, _ in self.FAILED.values():
+        for s, _ in self.failed.values():
             a0 = math.sqrt(s.eta0) * s.alpha_q
             assert all(_onset_sign(s, a0 + t) <= 0.0 for t in offsets), s
 
     def test_draws_the_theta_walk_stepped_over_now_solve(self):
         # a positive hump of the onset sign above a0 that doubling theta steps missed
-        assert {179, 187, 206} <= self.SOLVED.keys()
+        assert {179, 187, 206} <= self.solved.keys()
 
 
 class TestSweep:
