@@ -39,7 +39,7 @@ from .fock import (
     symplectic_eigenvalue,
 )
 from .rootfind import golden_max
-from .schemes import SITE_SENDER, ClassicalScenario, classical_channel
+from .schemes import SITE_SENDER, ClassicalScenario, _line_variance, _noise_weight, classical_channel
 from .threshold import mutual_information
 
 if TYPE_CHECKING:  # annotations only; numpy loads where it is used
@@ -116,16 +116,16 @@ def _base(s: ClassicalScenario | PrivateScenario) -> ClassicalScenario:
 def eve_ensemble(s: ClassicalScenario | PrivateScenario, sigma2: float) -> EveEnsemble:
     """Conditional states of the loss output for the two encoded bits.
 
-    Means are ∓√(1−η)·α_q.  The q variance is ((1−η)(e^{−2r}+σ_E²)+η)/2
-    with σ_E² = σ² for sender-site noise and 0 for receiver-site noise;
-    the p variance is ((1−η)e^{2r}+η)/2.
+    Means are ∓√(1−η)·α_q.  The q variance is the line's other port,
+    (1 + (1−η)·expm1(−2r) + (1−c)σ²)/2: Eve gets the share 1 − c of the
+    added variance that Bob's c leaves, 1 − η at the sender site and 0 at
+    the receiver site; the p variance is ((1−η)e^{2r}+η)/2.
     """
     base = _base(s)
-    sigma2 = _nonnegative("sigma2", sigma2)
     leak = 1.0 - base.eta
-    sigma_e2 = sigma2 if base.noise_site == SITE_SENDER else 0.0
     mean_mag = math.sqrt(leak) * base.alpha_q
-    var_q = (leak * (math.exp(-2.0 * base.r) + sigma_e2) + base.eta) / 2.0
+    eve_weight = 1.0 - _noise_weight(base.noise_site, base.eta)
+    var_q = _line_variance(leak, base.r, eve_weight, _nonnegative("sigma2", sigma2))
     try:
         var_p = (leak * math.exp(2.0 * base.r) + base.eta) / 2.0
     except OverflowError:

@@ -21,13 +21,13 @@ region.
 Solver notes.  Every interval boundary is a zero of one stationary
 condition: the sign of d P_s / d sigma^2 at sigma^2 = 0+.  For signal
 levels a0 > a1 with priors p0, p1, total variances v0, v1 at sigma^2 and
-noise weights c_x (eta_x for sender-site noise, 1 at the receiver), that
-sign is the sign of ln(p0 c0 |theta - a0|) - (theta - a0)^2 / (2 v0) -
-1.5 ln v0 - [the same terms for hypothesis 1], taken as is above a0,
-negated below a1, and -inf between the levels (the curve always falls
-there).  Beyond either level, with d = e^u the distance to that near
-level, gap the distance on to the far one, lw = ln(p_n c_n / (p_f c_f))
-and dv = v_n - v_f, one function writes it as
+noise weights c_x (_noise_weight: eta_x for sender-site noise, 1 at the
+receiver), that sign is the sign of ln(p0 c0 |theta - a0|) - (theta -
+a0)^2 / (2 v0) - 1.5 ln v0 - [the same terms for hypothesis 1], taken as
+is above a0, negated below a1, and -inf between the levels (the curve
+always falls there).  Beyond either level, with d = e^u the distance to
+that near level, gap the distance on to the far one, lw = ln(p_n c_n /
+(p_f c_f)) and dv = v_n - v_f, one function writes it as
 
     g(u) = c0 - log1p(gap / d) + c1 d + c2 d^2,    c1 = gap / v_f > 0,
     c0 = lw + gap^2 / (2 v_f) - 1.5 log1p(dv / v_f),  c2 = dv / (2 v_n v_f),
@@ -47,25 +47,27 @@ or below 0 means that no threshold beyond a0 is helped at sigma^2 = 0+,
 and raises SolverError naming the peak; otherwise the walk goes down
 from the peak to the first zero.  Discrimination takes gap = alpha (eta0
 - eta1) / (sqrt(eta0) + sqrt(eta1)), free of the cancellation in a0 -
-a1, and writes the variances at sigma^2 = 0 as (1 + eta_x expm1(-2r)) /
-2, exactly 1/2 at r = 0; no log prior ratio rounds p0 through 1 - p0.  A
-weak signal's far root, near |theta| ~ 1 / alpha_q, solves down to
-alpha_q ~ 5e-309; a strong signal's root near u = -gap^2 / K (v = K / 2)
-rounds to the level itself.  Each residual field is the theta width of
-u's final bracket, |theta(u + w) - theta(u - w)| with w = max(0.5e-14,
-ulp(u)): about 2e-14 |theta - level| plus the rounding of theta, and 0
-where both ends of the bracket round to theta.
+a1, and _line_variance's variances (1 + eta_x expm1(-2r) + c_x sigma^2)
+/ 2, exactly 1/2 at r = sigma^2 = 0, with dv formed apart; no log prior
+ratio rounds p0 through 1 - p0.  A weak signal's far root, near |theta|
+~ 1 / alpha_q, solves down to alpha_q ~ 5e-309; a strong signal's root
+near u = -gap^2 / K (v = K / 2) rounds to the level itself.  Each
+residual field is the theta width of u's final bracket, |theta(u + w) -
+theta(u - w)| with w = max(0.5e-14, ulp(u)): about 2e-14 |theta - level|
+plus the rounding of theta, and 0 where both ends of the bracket round
+to theta.
 
-With one noise floor K, the critical variance has the closed form
-sigma*^2 = (a1 - a0) (2 theta - (a0 + a1)) / ln R - K, R = p0 (theta -
-a0) / (p1 (theta - a1)).  Squeezed or sender-site discrimination has
-none: its critical variance is -1.0 wherever g(theta, 0) <= 0, and
-otherwise the zero of g(theta, sigma^2) in sigma^2, bisected to float
-resolution; where g stays positive up to the search bound and its
-sigma^2 -> inf limit ln(p0 / p1) - ln(c0 / c1) / 2 + ln(|theta - a0| /
-|theta - a1|) (negated below a1) is positive, P_s keeps rising and has
-no finite optimum.  One bracket-and-bisect helper,
-rootfind._bracket_and_bisect, finds every root.
+With one noise floor K = 2 _line_variance(eta, r, 0, 0) and one weight
+c, the critical variance has the closed form sigma*^2 = ((a1 - a0) (2
+theta - (a0 + a1)) / ln R - K) / c, R = p0 (theta - a0) / (p1 (theta -
+a1)).  Discrimination with r > 0 or c0 != c1 (the sender site) has none:
+its critical variance is -1.0 wherever g(theta, 0) <= 0, and otherwise
+the zero of g(theta, sigma^2) in sigma^2, bisected to float resolution;
+where g stays positive up to the search bound and its sigma^2 -> inf
+limit ln(p0 / p1) - ln(c0 / c1) / 2 + ln(|theta - a0| / |theta - a1|)
+(negated below a1) is positive, P_s keeps rising and has no finite
+optimum.  One bracket-and-bisect helper, rootfind._bracket_and_bisect,
+finds every root.
 """
 
 from __future__ import annotations
@@ -290,9 +292,15 @@ class SweepSeries:
 # Variance composition
 
 
-def _noise_floor_classical(eta: float, r: float) -> float:
-    # Twice the noiseless output variance: loss vacuum + squeezed signal.
-    return (1.0 - eta) + eta * math.exp(-2.0 * r)
+def _noise_weight(site: str, eta: float) -> float:
+    # the receiver's share of the added variance: eta before the loss, 1 after it
+    return eta if site == SITE_SENDER else 1.0
+
+
+def _line_variance(eta: float, r: float, weight: float, sigma2: float) -> float:
+    # q variance at a line port that passes eta of the squeezed signal and
+    # weight of the added variance, the rest vacuum: exactly 1/2 at r = sigma2 = 0
+    return 0.5 * (1.0 + eta * math.expm1(-2.0 * r) + weight * sigma2)
 
 
 def _noise_floor_ea(eta: float, r: float) -> float:
@@ -301,26 +309,21 @@ def _noise_floor_ea(eta: float, r: float) -> float:
     return (1.0 - eta) + (1.0 + eta) * math.exp(-2.0 * r)
 
 
-def _total_variance(floor: float, eta: float, site: str, sigma2: float) -> float:
-    # sender-side noise is attenuated by the line, receiver-side is not
-    return 0.5 * (floor + (eta * sigma2 if site == SITE_SENDER else sigma2))
-
-
 def classical_total_variance(s: ClassicalScenario, sigma2: float) -> float:
     """Total variance of the measured quadrature in the classical scheme.
 
-    Returns (1 - eta + eta e^{-2r} + sigma_eff^2)/2 where sender-side noise
-    is attenuated by the line, sigma_eff^2 = eta sigma^2, and receiver-side
-    noise enters unattenuated.
+    Returns (1 + eta expm1(-2r) + c sigma^2)/2 with c the receiver's share
+    of the added variance: eta for sender-side noise, which the line
+    attenuates, and 1 for receiver-side noise, which enters unattenuated.
     """
-    floor = _noise_floor_classical(s.eta, s.r)
-    return _total_variance(floor, s.eta, s.noise_site, _nonnegative("sigma2", sigma2))
+    weight = _noise_weight(s.noise_site, s.eta)
+    return _line_variance(s.eta, s.r, weight, _nonnegative("sigma2", sigma2))
 
 
 def ea_total_variance(s: EAScenario, sigma2: float) -> float:
     """Per-quadrature total variance in the two-quadrature scheme."""
-    floor = _noise_floor_ea(s.eta, s.r)
-    return _total_variance(floor, s.eta, s.noise_site, _nonnegative("sigma2", sigma2))
+    weight = _noise_weight(s.noise_site, s.eta)
+    return 0.5 * (_noise_floor_ea(s.eta, s.r) + weight * _nonnegative("sigma2", sigma2))
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +384,14 @@ def _discrimination_gap(s: DiscriminationScenario) -> float:
     return s.alpha_q * (s.eta0 - s.eta1) / (math.sqrt(s.eta0) + math.sqrt(s.eta1))
 
 
+def _discrimination_weights(s: DiscriminationScenario) -> tuple:
+    # (c0, c1): each hypothesis's share of the added variance
+    return _noise_weight(s.noise_site, s.eta0), _noise_weight(s.noise_site, s.eta1)
+
+
 def _discrimination_variances(s: DiscriminationScenario, sigma2: float) -> tuple:
-    return tuple(
-        _total_variance(_noise_floor_classical(eta, s.r), eta, s.noise_site, sigma2)
-        for eta in (s.eta0, s.eta1)
-    )
+    c0, c1 = _discrimination_weights(s)
+    return _line_variance(s.eta0, s.r, c0, sigma2), _line_variance(s.eta1, s.r, c1, sigma2)
 
 
 def success_discrimination(
@@ -394,9 +400,9 @@ def success_discrimination(
     """Success probability of threshold-decoded transmissivity discrimination.
 
     Conditional means are sqrt(eta_x) alpha_q and the conditional variances
-    carry each hypothesis's own loss (and, for sender-side injection, its
-    own attenuation of the added noise).  Hypothesis 1 is declared when the
-    outcome falls at or below the threshold.
+    carry each hypothesis's own loss and its own share c_x of the added
+    noise (_noise_weight).  Hypothesis 1 is declared when the outcome falls
+    at or below the threshold.
 
     Sender-site noise thus reaches the detector as eta0 sigma^2 or eta1
     sigma^2, so unlike the classical and EA schemes no sigma^2 map joins
@@ -465,11 +471,9 @@ def critical_sigma2_classical(s: ClassicalScenario, theta: float) -> float:
     theta = _finite("theta", theta)
     m = math.sqrt(s.eta) * s.alpha_q
     _check_solvable(s.prior0, m, "critical noise level")
-    k = _noise_floor_classical(s.eta, s.r)
+    k = 2.0 * _line_variance(s.eta, s.r, 0.0, 0.0)
     value = _two_level_sigma2(theta, -m, m, 2.0 * m, s.prior0, k)
-    if s.noise_site == SITE_SENDER:
-        value /= s.eta
-    return value
+    return value / _noise_weight(s.noise_site, s.eta)
 
 
 def critical_sigma2_discrimination(s: DiscriminationScenario, theta: float) -> float:
@@ -493,23 +497,24 @@ def critical_sigma2_discrimination(s: DiscriminationScenario, theta: float) -> f
     """
     theta = _finite("theta", theta)
     _check_solvable(s.prior0, s.alpha_q, "critical noise level")
-    if s.r != 0.0 or s.noise_site == SITE_SENDER:  # no shared noise floor
-        g0 = _onset_sign(s, theta)
-        if g0 <= 0.0:
-            return -1.0
-        slope = partial(_onset_sign, s, theta)
-        try:
-            return _bracket_and_bisect(slope, 0.0, g0, 1e6, 1e-3, xtol=0.0, maxit=200)
-        except SolverError:
-            limit = _onset_sign_limit(s, theta)
-            if limit <= 0.0:
-                raise
-            raise NoCriticalPointError(
-                f"no finite optimum: P_s still rises at sigma^2 = 1e6 and its slope "
-                f"sign tends to {limit!r} > 0 as sigma^2 -> inf"
-            ) from None
-    a0, a1 = _discrimination_levels(s)
-    return _two_level_sigma2(theta, a0, a1, -_discrimination_gap(s), s.prior0, 1.0)
+    c0, c1 = _discrimination_weights(s)
+    if s.r == 0.0 and c0 == c1:  # one shared noise floor
+        a0, a1 = _discrimination_levels(s)
+        return _two_level_sigma2(theta, a0, a1, -_discrimination_gap(s), s.prior0, 1.0)
+    g0 = _onset_sign(s, theta)
+    if g0 <= 0.0:
+        return -1.0
+    slope = partial(_onset_sign, s, theta)
+    try:
+        return _bracket_and_bisect(slope, 0.0, g0, 1e6, 1e-3, xtol=0.0, maxit=200)
+    except SolverError:
+        limit = _onset_sign_limit(s, theta)
+        if limit <= 0.0:
+            raise
+        raise NoCriticalPointError(
+            f"no finite optimum: P_s still rises at sigma^2 = 1e6 and its slope "
+            f"sign tends to {limit!r} > 0 as sigma^2 -> inf"
+        ) from None
 
 
 def _slope_sign(
@@ -537,15 +542,14 @@ def _slope_sign(
 def _discrimination_side(s: DiscriminationScenario, above: bool, sigma2: float) -> tuple:
     """(near level, lw, v_n, v_f, dv) of g beyond a0 (above) or below a1 at sigma2.
 
-    The total variances are written (1 + eta_x expm1(-2r) + sigma_x^2) / 2,
-    exactly 1/2 at r = sigma^2 = 0.
+    The variances are success_discrimination's; their difference dv is
+    formed apart, free of the cancellation in v0 - v1.
     """
-    sender = s.noise_site == SITE_SENDER
-    x = math.expm1(-2.0 * s.r) + (sigma2 if sender else 0.0)
-    v0, v1 = (0.5 * (1.0 + eta * x + (0.0 if sender else sigma2)) for eta in (s.eta0, s.eta1))
+    c0, c1 = _discrimination_weights(s)
+    v0, v1 = _discrimination_variances(s, sigma2)
     # hypothesis 0 against 1: ln(p0 c0 / (p1 c1)) and v0 - v1
-    lw = _log_odds(s.prior0) + (math.log(s.eta0 / s.eta1) if sender else 0.0)
-    dv = 0.5 * (s.eta0 - s.eta1) * x
+    lw = _log_odds(s.prior0) + math.log(c0 / c1)
+    dv = 0.5 * ((s.eta0 - s.eta1) * math.expm1(-2.0 * s.r) + (c0 - c1) * sigma2)
     a0, a1 = _discrimination_levels(s)
     return (a0, lw, v0, v1, dv) if above else (a1, -lw, v1, v0, -dv)
 
@@ -571,7 +575,8 @@ def _onset_sign_limit(s: DiscriminationScenario, theta: float) -> float:
     ln(c0 / c1) of the weights leaves -ln(c0 / c1) / 2.
     """
     a0, a1 = _discrimination_levels(s)
-    half_log_c = 0.5 * math.log(s.eta0 / s.eta1) if s.noise_site == SITE_SENDER else 0.0
+    c0, c1 = _discrimination_weights(s)
+    half_log_c = 0.5 * math.log(c0 / c1)
     limit = _log_odds(s.prior0) - half_log_c + math.log(abs(theta - a0) / abs(theta - a1))
     return limit if theta > a0 else -limit
 
@@ -651,7 +656,7 @@ def forbidden_interval_classical(s: ClassicalScenario) -> ForbiddenInterval:
     sigma^2 -> eta sigma^2.
     """
     m = math.sqrt(s.eta) * s.alpha_q
-    k = _noise_floor_classical(s.eta, s.r)
+    k = 2.0 * _line_variance(s.eta, s.r, 0.0, 0.0)
     return _symmetric_interval(m, k, s.prior0)
 
 
