@@ -22,7 +22,8 @@ using the long flag names; command-line flags override file values.
 
 Only ``mc-check`` (10^6 samples per point by default) fans its points out
 to worker processes; ``--parallel`` (default 1) sets its worker count,
-which never exceeds the grid points or the CPU cores.  Every other
+which never exceeds the grid points or the cores the process may run on
+(its CPU affinity, where the platform reports one).  Every other
 command runs serially: a point costs microseconds (a χ about a
 millisecond), less than starting a worker and shipping it the job.
 """
@@ -370,12 +371,19 @@ def _run_probe(cfg: dict):
     return "theta", cfg["theta"], _columns(("nonmonotonic", "argmax_sigma", "gain"), rows)
 
 
+def _usable_cores() -> int:
+    # os.cpu_count() also counts cores an affinity mask (taskset, a cpuset) forbids
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_mc_check(cfg: dict):
     point = partial(_point_mc, _scenario(ClassicalScenario, cfg), cfg["theta"], cfg["n"])
     jobs = [(sigma * sigma, cfg["seed"] + index) for index, sigma in enumerate(cfg["grid"])]
     # a fork-started pool launches every worker up front, so never ask for
     # more than there are points or cores
-    workers = min(cfg["parallel"], len(jobs), os.cpu_count() or 1)
+    workers = min(cfg["parallel"], len(jobs), _usable_cores())
     if workers > 1:
         # through the module object, so a patched or traced class is used,
         # also when this file runs as __main__

@@ -3,10 +3,13 @@
 The rate is I(A:B) − χ(A:E): the legitimate pair is held to threshold
 detection while the eavesdropper, who holds the conjugate output of the
 loss, is granted the full Holevo information of her conditional-state
-ensemble.  Sender-site noise enters the eavesdropper's states (her q
-variance picks up the added variance before the loss); receiver-site
-noise never reaches her, so χ is a constant in σ there and the rate
-moves exactly with I(A:B).
+ensemble.  The line splits the added variance σ² between its two ports:
+the receiver gets the share c of ``schemes._noise_weight`` (η when the
+sender adds the noise, 1 when the receiver does) and the eavesdropper
+the rest, 1 − c.  For the receiver the site is only σ² ↦ ησ²; Eve's
+share is what breaks the symmetry.  Sender-site noise also blurs her
+states; receiver-site noise never reaches her, so χ is a constant in σ
+there and the rate moves exactly with I(A:B).
 
 χ needs the entropy of a two-component Gaussian mixture, which is not
 Gaussian; it is the spectrum of a closed-form Gram matrix of displaced
@@ -19,6 +22,22 @@ through the eavesdropper's added variance σ_E² (σ² at the sender site, 0
 at the receiver site).  A rate over a σ grid therefore computes χ once
 per distinct σ_E² (``_chi_by_sigma2``) and shares it across every θ; the
 rate value I(A:B) − χ itself is written once, in ``_rate``.
+
+Small sender-site noise at r = 0 always lowers χ faster than linearly.
+Eve's two states are then coherent at σ = 0, with |β₁ − β₀|² = x₀ =
+2(1 − η)α², and the noise makes them thermal with n̄ ≈ bσ², where
+b = (1 − c)/4 = (1 − η)/4 is a quarter of her share.  To first order
+each state puts weight n̄ on D(β_x)|1⟩.  The part of that vector inside
+span{|β₀⟩, |β₁⟩} shifts O(1) eigenvalues; the rest adds eigenvalues of
+order n̄, each with an n̄ ln(1/n̄) entropy; and each component's entropy
+g(n̄), subtracted once, has the full n̄ ln(1/n̄).  So χ(σ²) − χ(0) ≈
+−κ n̄ log₂(1/n̄) + O(n̄), where κ = x₀e^{−x₀}/(1 − e^{−x₀}) is the squared
+norm of D(β_x)|1⟩'s projection onto the span, the same for both states,
+so the prior drops out.  κ > 0 for every α > 0, so dR/dσ² → +∞ at 0+
+for every θ: at r = 0 a little sender-site noise raises the rate at
+every threshold, and the private forbidden set is empty.
+(χ(σ²) − χ(0))/σ² falls by κ·b·log₂100 per two decades of σ², which the
+tests pin.
 """
 
 from __future__ import annotations

@@ -850,7 +850,7 @@ class TestImportFootprint:
         argv = TestMcCheck.ARGS + ["--parallel", "2"]
         code, _, pooled = fresh_python("-c", NUMPY_AFTER_COMMAND, *argv).splitlines()[-1].split()
         assert code == "0"
-        assert pooled == str((os.cpu_count() or 1) > 1)
+        assert pooled == str(cli._usable_cores() > 1)
 
 
 class TestJsonSchema:
@@ -1023,7 +1023,7 @@ class TestPoolPolicy:
     # for a single worker
     @pytest.mark.parametrize("parallel, workers", [("2", 2), ("8", 3)])
     def test_mc_check_starts_one_pool(self, parallel, workers, monkeypatch):
-        workers = min(workers, os.cpu_count() or 1)
+        workers = min(workers, cli._usable_cores())
         code, serial, _ = run_cli(TestMcCheck.ARGS + ["--parallel", "1"])
         assert code == 0
         pools = []
@@ -1041,7 +1041,7 @@ class TestPoolPolicy:
 
     def test_mc_check_workers_capped_at_core_count(self, monkeypatch):
         # a recording stand-in: the real pool is never started
-        cores = os.cpu_count() or 1
+        cores = cli._usable_cores()
         pools = []
 
         class RecordingPool:
@@ -1066,6 +1066,23 @@ class TestPoolPolicy:
         ])
         assert code == 0
         assert pools == ([cores] if cores > 1 else [])
+
+    def test_mc_check_single_usable_core_starts_no_pool(self, monkeypatch):
+        # pinned to one core of a larger machine: os.cpu_count() still counts
+        # them all, but a second worker would only share that core
+        code, serial, _ = run_cli(TestMcCheck.ARGS + ["--parallel", "1"])
+        assert code == 0
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("process pool started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        code, pinned, _ = run_cli(TestMcCheck.ARGS + ["--parallel", "2"])
+        assert code == 0
+        assert pinned == serial
 
 
 class TestPoolClassLookup:

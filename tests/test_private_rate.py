@@ -11,6 +11,7 @@ its thermal truncation against the stated entropy bound.
 
 import importlib
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -42,7 +43,11 @@ from srbosonic.schemes import (
     SITE_RECEIVER,
     SITE_SENDER,
     ClassicalScenario,
+    DiscriminationScenario,
+    _discrimination_side,
     classical_channel,
+    classical_total_variance,
+    success_discrimination,
 )
 from srbosonic.threshold import (
     BinaryThresholdSpec,
@@ -158,6 +163,80 @@ class TestEveEnsemble:
     def test_negative_sigma2_rejected(self):
         with pytest.raises(DomainError):
             eve_ensemble(PrivateScenario(base=fig_base(), theta=0.0), -0.1)
+
+
+class TestShareRule:
+    """The line splits the added variance: c to the receiver, 1 - c to Eve.
+
+    c is eta when the sender adds the noise and 1 when the receiver does,
+    so the two ports' increments sum to sigma^2 / 2 at the sender site
+    (the line neither loses nor duplicates the noise) and Eve's is 0 at
+    the receiver site.
+    """
+
+    @staticmethod
+    def draws(n=200):
+        rng = random.Random(29)
+        for _ in range(n):
+            site = rng.choice((SITE_SENDER, SITE_RECEIVER))
+            yield rng.uniform(0.05, 1.0), rng.uniform(0.0, 1.5), 10.0 ** rng.uniform(-3, 2), site
+
+    def test_receiver_and_eavesdropper_increments(self):
+        for eta, r, sigma2, site in self.draws():
+            base = fig_base(site=site, eta=eta, r=r)
+            bob = classical_total_variance(base, sigma2) - classical_total_variance(base, 0.0)
+            eve_q = [eve_ensemble(base, x).state0.cov[0, 0] for x in (sigma2, 0.0)]
+            eve = eve_q[0] - eve_q[1]
+            if site == SITE_SENDER:
+                assert bob == pytest.approx(eta * sigma2 / 2.0, rel=1e-9)
+                assert eve == pytest.approx((1.0 - eta) * sigma2 / 2.0, rel=1e-9, abs=1e-15)
+                assert bob + eve == pytest.approx(sigma2 / 2.0, rel=1e-9)
+            else:
+                assert bob == pytest.approx(sigma2 / 2.0, rel=1e-9)
+                assert eve == 0.0
+
+    def test_discrimination_curve_and_boundary_read_one_variance(self, monkeypatch):
+        # success_discrimination hands (a0, v0, a1, v1, ...) to _channel_probs;
+        # the boundary solver's side beyond a0 must carry the same v0, v1
+        schemes = importlib.import_module("srbosonic.schemes")
+        seen = []
+
+        def record(*args):
+            seen.append(args[1:4:2])
+            return channel_probs(*args)
+
+        channel_probs = schemes._channel_probs
+        monkeypatch.setattr(schemes, "_channel_probs", record)
+        for eta0, r, sigma2, site in self.draws():
+            s = DiscriminationScenario(eta0=eta0 * 0.99, eta1=eta0 * 0.4, alpha_q=1.5,
+                                       r=r, noise_site=site)
+            success_discrimination(s, 2.0, sigma2)
+            _, _, v0, v1, dv = _discrimination_side(s, True, sigma2)
+            assert seen.pop() == (v0, v1)
+            assert dv == pytest.approx(v0 - v1, rel=1e-9, abs=1e-15)
+
+
+class TestChiSmallNoiseLaw:
+    """At r = 0 and the sender site, chi(sigma^2) - chi(0) ~ -kappa nbar log2(1/nbar).
+
+    Eve's states are coherent at sigma = 0 with |beta1 - beta0|^2 = x0 =
+    2 (1 - eta) alpha^2, and noise makes them thermal with nbar = b sigma^2,
+    b = (1 - eta) / 4, a quarter of her share; kappa = x0 e^-x0 / (1 - e^-x0).
+    So (chi(sigma^2) - chi(0)) / sigma^2 falls by kappa b log2(100) per two
+    decades of sigma^2, whatever the prior.
+    """
+
+    @pytest.mark.parametrize("eta, alpha_q, prior0", [(0.8, 1.0, 0.5), (0.5, 2.0, 0.3),
+                                                      (0.9, 0.5, 0.5)])
+    def test_log_coefficient(self, eta, alpha_q, prior0):
+        base = fig_base(eta=eta, alpha_q=alpha_q, prior0=prior0)
+        chi0 = holevo_chi(eve_ensemble(base, 0.0))
+        quotient = [(holevo_chi(eve_ensemble(base, x)) - chi0) / x for x in (1e-4, 1e-6, 1e-8)]
+        x0 = 2.0 * (1.0 - eta) * alpha_q**2
+        kappa = x0 / math.expm1(x0)
+        step = kappa * (1.0 - eta) / 4.0 * math.log2(100.0)
+        assert quotient[0] - quotient[1] == pytest.approx(step, rel=1e-3)
+        assert quotient[1] - quotient[2] == pytest.approx(step, rel=1e-3)
 
 
 class TestHolevoChi:

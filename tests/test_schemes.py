@@ -1024,6 +1024,43 @@ class TestOnsetCensus:
         assert {179, 187, 206} <= self.solved.keys()
 
 
+class TestHelpedBeyondTheOnset:
+    """Two sender-site answers that read the slope sign at sigma^2 = 0+ only.
+
+    Where the two hypotheses' variances grow at different rates (eta0
+    sigma^2 against eta1 sigma^2), the slope sign g(theta, sigma^2) can
+    change sign twice in sigma^2, so noise can help a threshold at which g
+    starts out non-positive.  The physics is pinned here; the solvers'
+    answers are strict xfails, so the fix that reads g past 0+ flips them.
+    """
+
+    README = dict(eta0=0.9, eta1=0.4, alpha_q=1.5, r=0.3, noise_site="sender")
+    DRAW = dict(eta0=0.65, eta1=0.1, alpha_q=0.5580810302671673,
+                prior0=0.16025818150197896, noise_site="sender")
+
+    def test_noise_helps_both_thresholds(self):
+        s = DiscriminationScenario(**self.README)
+        assert success_discrimination(s, 5.0, 0.0) == pytest.approx(0.5000, abs=1e-4)
+        assert success_discrimination(s, 5.0, 7.2**2) == pytest.approx(0.5611, abs=1e-4)
+        s = DiscriminationScenario(**self.DRAW)
+        values = [success_discrimination(s, -0.5805, sigma**2) for sigma in (0.0, 10.0, 1000.0)]
+        assert values == pytest.approx([0.2680, 0.4051, 0.4990], abs=1e-4)
+
+    @pytest.mark.xfail(strict=True, reason="sigma*^2 is -1.0 where g(theta, 0) <= 0")
+    def test_readme_scenario_critical_variance_finds_the_gain(self):
+        # theta = 5 lies above the interval [0.2177, 1.5307]
+        s = DiscriminationScenario(**self.README)
+        sigma2 = critical_sigma2_discrimination(s, 5.0)
+        assert sigma2 > 0.0
+        assert success_discrimination(s, 5.0, sigma2) >= success_discrimination(s, 5.0, 7.2**2)
+
+    @pytest.mark.xfail(strict=True, reason="the interval is the zero set of g(theta, 0)")
+    def test_helped_threshold_lies_outside_the_interval(self):
+        # the interval is [-0.6203, 0.8576]
+        interval = forbidden_interval_discrimination(DiscriminationScenario(**self.DRAW))
+        assert not interval.contains(-0.5805)
+
+
 class TestSweep:
     def test_flags_match_figure_behavior(self):
         s = fig_scenario()
