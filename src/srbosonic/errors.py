@@ -6,14 +6,20 @@ a threshold that admits no finite optimal noise level
 (``SolverError``), and a Fock-space cutoff that is too small for the
 requested accuracy (``CutoffError``).
 
-The field checks below (finite real, non-negative, prior in [0, 1], a
-strictly increasing non-negative σ grid) run once, where a validated type
-or public entry point receives a value.  They accept Python or numpy real
-scalars, raise ``DomainError`` otherwise, and return Python floats.
+The field checks below run once, where a validated type or public entry
+point receives a value, and raise ``DomainError`` on a bad one:
+
+- scalars (finite real, non-negative, prior in [0, 1], a strictly
+  increasing non-negative σ grid) accept Python or numpy reals and
+  return Python floats;
+- counts (``_count``) accept Python or numpy integers, never a bool, and
+  return Python ints;
+- matrices (``_matrix``) accept anything numpy turns into a square array
+  and return a fresh complex one, finite and, when asked, Hermitian.
 """
 
 import math
-from numbers import Real
+from numbers import Integral, Real
 
 __all__ = ["DomainError", "NoCriticalPointError", "SolverError", "CutoffError"]
 
@@ -62,6 +68,33 @@ def _prior(name: str, value) -> float:
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"{name} must lie in [0, 1], got {x!r}")
     return x
+
+
+def _count(name: str, value, low: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
+
+
+def _matrix(name: str, value, dim: int, herm_tol: float | None = None):
+    """A new dim x dim complex C-ordered copy of value: finite, Hermitian to herm_tol if given."""
+    import numpy as np
+
+    try:
+        m = np.array(value, dtype=complex, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must be a {dim}x{dim} matrix of numbers: {exc}") from exc
+    if m.shape != (dim, dim):
+        raise DomainError(f"{name} must be a {dim}x{dim} matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise DomainError(f"{name} entries must be finite")
+    if herm_tol is not None:
+        defect = float(np.max(np.abs(m - m.conj().T)))
+        if defect > herm_tol:
+            raise DomainError(f"{name} must be Hermitian, defect {defect:.3e}")
+    return m
 
 
 def _sigma_grid(values) -> tuple:

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import TYPE_CHECKING
 
-from .errors import CutoffError, DomainError
+from .errors import CutoffError, DomainError, _count, _finite, _matrix, _nonnegative
 
 if TYPE_CHECKING:  # annotations only; numpy loads where it is used
     import numpy as np
@@ -57,25 +56,10 @@ MAX_CUTOFF = 4096
 
 
 def _validate_dim(dim) -> int:
-    if isinstance(dim, bool) or not isinstance(dim, Integral):
-        raise DomainError(f"cutoff dimension must be an integer, got {dim!r}")
-    dim = int(dim)
-    if dim < 2:
-        raise DomainError(f"cutoff dimension must be >= 2, got {dim}")
+    dim = _count("cutoff dimension", dim, 2)
     if dim > MAX_CUTOFF:  # before any dim x dim array: 268 MB at 4097, 160 GB at 1e5
         raise DomainError(f"cutoff dimension must be <= MAX_CUTOFF = {MAX_CUTOFF}, got {dim}")
     return dim
-
-
-def _square_complex(entries, dim: int, what: str) -> np.ndarray:
-    import numpy as np
-
-    arr = np.array(entries, dtype=complex, copy=True)
-    if arr.shape != (dim, dim):
-        raise DomainError(f"{what} entries must be a {dim}x{dim} matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise DomainError(f"{what} entries must be finite")
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +71,7 @@ class FockOperator:
 
     def __post_init__(self) -> None:
         dim = _validate_dim(self.dim)
-        arr = _square_complex(self.entries, dim, "operator")
+        arr = _matrix("operator", self.entries, dim)
         arr.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "entries", arr)
@@ -109,10 +93,7 @@ class FockDensity:
         import numpy as np
 
         dim = _validate_dim(self.dim)
-        arr = _square_complex(self.entries, dim, "density")
-        herm_defect = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm_defect > 1e-12:
-            raise DomainError(f"density matrix must be Hermitian, defect {herm_defect:.3e}")
+        arr = _matrix("density", self.entries, dim, herm_tol=1e-12)
         arr = 0.5 * (arr + arr.conj().T)
         trace = float(np.trace(arr).real)
         if not (1.0 - 1e-6 <= trace <= 1.0 + 1e-9):
@@ -141,11 +122,14 @@ class GaussianStateOneMode:
 
         try:
             mean = tuple(float(v) for v in self.mean)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"mean must be a real pair, got {self.mean!r}") from exc
         if len(mean) != 2 or not all(math.isfinite(v) for v in mean):
             raise DomainError(f"mean must be a finite real pair, got {self.mean!r}")
-        cov = np.array(self.cov, dtype=float)
+        try:
+            cov = np.array(self.cov, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"cov must be a real 2x2 matrix: {exc}") from exc
         if cov.shape != (2, 2):
             raise DomainError(f"cov must be 2x2, got shape {cov.shape}")
         if not np.all(np.isfinite(cov)):
@@ -230,9 +214,7 @@ def squeeze_op(r: float, dim: int) -> FockOperator:
     displacement_op.
     """
     dim = _validate_dim(dim)
-    r = float(r)
-    if not math.isfinite(r):
-        raise DomainError(f"squeezing parameter must be finite, got {r!r}")
+    r = _finite("squeezing parameter", r)
     return FockOperator(dim, _squeeze(r, *_ladder_arrays(dim)))
 
 
@@ -273,9 +255,7 @@ def thermal_state(nbar: float, dim: int) -> FockDensity:
     import numpy as np
 
     dim = _validate_dim(dim)
-    nbar = float(nbar)
-    if not math.isfinite(nbar) or nbar < 0.0:
-        raise DomainError(f"mean photon number must be finite and >= 0, got {nbar!r}")
+    nbar = _nonnegative("mean photon number", nbar)
     return FockDensity(dim, np.diag(_thermal_core(nbar, dim)))
 
 

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, NoCriticalPointError, _finite, _nonnegative, _store
+from .errors import DomainError, NoCriticalPointError, _count, _finite, _matrix, _nonnegative, _store
 from .threshold import _MC_BLOCK, McEstimate
 
 if TYPE_CHECKING:  # annotations only; numpy loads where it is used
@@ -96,23 +96,10 @@ def pi_probs(p: QuantumCommParams) -> tuple:
     return pi_less, pi_greater
 
 
-def _hermitian(matrix: np.ndarray, dim: int, what: str, tol: float) -> np.ndarray:
-    import numpy as np
-
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (dim, dim):
-        raise DomainError(f"{what} must be {dim}x{dim}, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise DomainError(f"{what} entries must be finite")
-    if np.max(np.abs(m - m.conj().T)) > tol:
-        raise DomainError(f"{what} must be Hermitian")
-    return m
-
-
 def _validate_qubit(rho: np.ndarray) -> np.ndarray:
     import numpy as np
 
-    rho = _hermitian(rho, 2, "qubit state", _HERM_TOL)
+    rho = _matrix("qubit state", rho, 2, _HERM_TOL)
     if abs(rho[0, 0].real + rho[1, 1].real - 1.0) > _HERM_TOL:
         raise DomainError("qubit state must have unit trace")
     if np.linalg.eigvalsh(rho).min() < -_EIG_TOL:
@@ -218,7 +205,7 @@ def log_negativity(choi: np.ndarray) -> float:
     """
     import numpy as np
 
-    c = _hermitian(choi, 4, "Choi state", 1e-10)
+    c = _matrix("Choi state", choi, 4, 1e-10)
     pt = c.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     off = pt - np.diag(np.diag(pt)) - np.fliplr(np.diag(np.diag(np.fliplr(pt))))
     if np.max(np.abs(off)) < 1e-14:
@@ -245,8 +232,7 @@ def haar_fidelity_oracle(p: QuantumCommParams, n: int, seed: int) -> McEstimate:
     """
     import numpy as np
 
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
+    n, seed = _count("n", n, 1), _count("seed", seed, 0)
     rng = np.random.Generator(np.random.Philox(seed))
     pl, pg = pi_probs(p)
     mean, m2 = 0.0, 0.0

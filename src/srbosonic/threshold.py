@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, _finite, _prior, _store
+from .errors import DomainError, _count, _finite, _nonnegative, _prior, _store
 
 __all__ = [
     "ORIENT_ABOVE",
@@ -80,9 +80,8 @@ class BinaryThresholdSpec:
     orientation: str = ORIENT_ABOVE
 
     def __post_init__(self) -> None:
-        _store(self, _finite, "mean0", "mean1", "var0", "var1", "theta")
-        if self.var0 < 0 or self.var1 < 0:
-            raise DomainError("noise variances must be non-negative")
+        _store(self, _finite, "mean0", "mean1", "theta")
+        _store(self, _nonnegative, "var0", "var1")
         _store(self, _prior, "prior0")
         if self.orientation not in _ORIENTATIONS:
             raise DomainError(
@@ -98,8 +97,7 @@ class ThresholdChannel:
     p11: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.p00 <= 1.0 and 0.0 <= self.p11 <= 1.0):
-            raise DomainError("channel probabilities must lie in [0, 1]")
+        _store(self, _prior, "p00", "p11")
 
 
 @dataclass(frozen=True)
@@ -112,8 +110,7 @@ class McEstimate:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise DomainError("n_samples must be >= 1")
+        object.__setattr__(self, "n_samples", _count("n_samples", self.n_samples, 1))
         if self.std_error < 0:
             raise DomainError("std_error must be non-negative")
 
@@ -124,7 +121,7 @@ def gauss_tail(x: float, mean: float, var: float) -> float:
     Equals (1 - erf((x - mean) / sqrt(2 var))) / 2; evaluated through
     erfc for full accuracy in the far tail.
     """
-    if var <= 0:
+    if not var > 0:
         raise DomainError(f"var must be positive, got {var!r}")
     return 0.5 * math.erfc((x - mean) / math.sqrt(2.0 * var))
 
@@ -212,8 +209,7 @@ def mc_success_probability(spec: BinaryThresholdSpec, n: int, seed: int) -> McEs
     """
     import numpy as np
 
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
+    n, seed = _count("n", n, 1), _count("seed", seed, 0)
     bit_rng = np.random.Generator(np.random.Philox(seed))
     noise_stream = np.random.Philox(seed)
     noise_stream.advance(n // 4)

@@ -20,7 +20,7 @@ from srbosonic.fock import (
     squeeze_op,
 )
 from srbosonic.private_rate import EveEnsemble, holevo_chi
-from srbosonic.qubit import QuantumCommParams, apply_channel
+from srbosonic.qubit import QuantumCommParams, apply_channel, haar_fidelity_oracle
 from srbosonic.schemes import (
     ClassicalScenario,
     DiscriminationScenario,
@@ -28,11 +28,19 @@ from srbosonic.schemes import (
     critical_sigma2_classical,
     sweep_success,
 )
-from srbosonic.threshold import McEstimate
+from srbosonic.threshold import (
+    BinaryThresholdSpec,
+    McEstimate,
+    ThresholdChannel,
+    gauss_tail,
+    mc_success_probability,
+)
 
 fock_module = importlib.import_module("srbosonic.fock")
 
 VACUUM_COV = [[0.5, 0.0], [0.0, 0.5]]
+SPEC = BinaryThresholdSpec(-1.0, 1.0, 0.5, 0.5, theta=0.0, prior0=0.5)
+QUBIT = QuantumCommParams(0.3, 0.3, 0.1)
 
 
 def eve_pair():
@@ -63,9 +71,28 @@ def eve_pair():
     (lambda: EveEnsemble("x", eve_pair().state1, 0.5), DomainError,
      "state0 must be a GaussianStateOneMode"),
     (lambda: holevo_chi("x"), DomainError, "e must be an EveEnsemble"),
+    # counts: a Python or numpy integer, never a float or a bool
+    (lambda: mc_success_probability(SPEC, 1.5, 0), DomainError, "n must be an integer, got 1.5"),
+    (lambda: mc_success_probability(SPEC, True, 0), DomainError,
+     "n must be an integer, got True"),
+    (lambda: mc_success_probability(SPEC, 10, -1), DomainError, "seed must be >= 0, got -1"),
+    (lambda: mc_success_probability(SPEC, 10, 1.5), DomainError,
+     "seed must be an integer, got 1.5"),
+    (lambda: haar_fidelity_oracle(QUBIT, 2.5, 0), DomainError, "n must be an integer, got 2.5"),
+    # matrices numpy cannot convert
+    (lambda: FockOperator(2, [[1, 0], [0]]), DomainError, "operator must be a 2x2 matrix"),
+    (lambda: apply_channel("ab", QUBIT), DomainError, "qubit state must be a 2x2 matrix"),
+    (lambda: GaussianStateOneMode((0, 0), [[1, 0], [0]]), DomainError,
+     "cov must be a real 2x2 matrix"),
+    # scalars
+    (lambda: squeeze_op(0.3 + 0.1j, 10), DomainError, "squeezing parameter must be real"),
+    (lambda: ThresholdChannel("a", 0.5), DomainError, "p00 must be real"),
+    (lambda: gauss_tail(0.0, 0.0, math.nan), DomainError, "var must be positive, got nan"),
 ], ids=["interval-order", "interval-residual", "mc-samples", "mc-std-error", "operator-shape",
         "operator-nan", "complex-mean", "cov-shape", "cov-inf", "squeeze-nan", "qubit-nan",
-        "eve-state", "chi-type"])
+        "eve-state", "chi-type", "mc-float-n", "mc-bool-n", "mc-negative-seed",
+        "mc-float-seed", "haar-float-n", "operator-ragged", "qubit-string", "cov-ragged",
+        "squeeze-complex", "channel-string", "tail-nan-var"])
 def test_constructor_and_validator_guards(build, exc, fragment):
     with pytest.raises(exc) as info:
         build()

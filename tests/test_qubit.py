@@ -112,6 +112,14 @@ class TestApplyChannel:
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
             assert np.linalg.eigvalsh(out).min() > -1e-12
 
+    def test_transposed_input_accepted(self):
+        # a transposed array is F-ordered; its value is all that counts
+        g = np.array([[1.0, 0.5 - 0.25j], [0.3j, 2.0]])
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        p = params()
+        assert np.array_equal(apply_channel(rho.T, p), apply_channel(rho.T.copy(), p))
+
     def test_rejects_invalid_inputs(self):
         p = params()
         with pytest.raises(DomainError):
@@ -242,6 +250,10 @@ class TestLogNegativity:
         pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
         want = max(0.0, math.log2(np.sum(np.abs(np.linalg.eigvalsh(pt)))))
         assert log_negativity(rho) == pytest.approx(want, abs=1e-12)
+
+    def test_fortran_ordered_choi_accepted(self):
+        choi = choi_state(params())
+        assert log_negativity(np.asfortranarray(choi)) == log_negativity(choi)
 
     def test_rejects_non_hermitian(self):
         bad = np.zeros((4, 4), dtype=complex)

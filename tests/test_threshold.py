@@ -214,6 +214,12 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             mc_success_probability(lossy_spec(), 0, seed=1)
 
+    def test_numpy_integer_counts_accepted(self):
+        # numpy integers stand for Python ints, also past Philox.advance
+        est = mc_success_probability(lossy_spec(), np.int64(10), np.int64(0))
+        assert est == mc_success_probability(lossy_spec(), 10, 0)
+        assert type(est.n_samples) is int and type(est.seed) is int
+
 
 class TestValidation:
     def test_spec_rejects_bad_prior(self):
