@@ -230,7 +230,10 @@ def _resolve(args: argparse.Namespace) -> dict:
     defaults = {**_DEFAULTS, **command_defaults}
     cfg = {"command": command}
     for name, converter in table.items():
-        cfg[name] = converter(raw[name]) if name in raw else defaults.get(name)
+        try:
+            cfg[name] = converter(raw[name]) if name in raw else defaults.get(name)
+        except ConfigError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
 
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")

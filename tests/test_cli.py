@@ -560,8 +560,12 @@ class TestExitCodes:
         (SWEEP_ARGS[:7], None, 2, "grid-start, grid-stop, grid-step are required"),
         (SWEEP_ARGS[:-1] + ["0"], None, 2, "grid-step must be positive"),
         (SWEEP_ARGS + ["--site", "bogus"], None, 2, "noise_site must be one of"),
+        # a conversion error names its flag
+        (TestMcCheck.ARGS[:7] + ["--n", "1e4"] + TestMcCheck.ARGS[9:], None, 2,
+         "error: n: expected an integer, got '1e4'\n"),
+        (SWEEP_ARGS + ["--seed", "abc"], None, 2, "error: seed: expected an integer, got 'abc'\n"),
     ], ids=["inf", "empty-list", "config-interval-false", "config-interval-maybe",
-            "no-grid", "zero-step", "bad-site"])
+            "no-grid", "zero-step", "bad-site", "float-n", "text-seed"])
     def test_value_paths(self, argv, config, want_code, fragment, tmp_path):
         if config is not None:
             path = tmp_path / "run.cfg"
@@ -987,6 +991,25 @@ class TestPrivateParallel:
         assert "cutoff" in err
 
 
+def recording_pool(pools):
+    """A pool class that appends each max_workers to pools and maps in process."""
+
+    class RecordingPool:
+        def __init__(self, max_workers=None):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    return RecordingPool
+
+
 class TestPoolPolicy:
     """Only mc-check starts worker processes; --parallel changes no byte."""
 
@@ -1044,20 +1067,7 @@ class TestPoolPolicy:
         cores = cli._usable_cores()
         pools = []
 
-        class RecordingPool:
-            def __init__(self, max_workers=None):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool(pools))
         points = cores + 3
         code, _, _ = run_cli([
             "mc-check", "--eta", "0.8", "--alpha-q", "1", "--theta", "0.6", "--n", "100",
@@ -1066,6 +1076,22 @@ class TestPoolPolicy:
         ])
         assert code == 0
         assert pools == ([cores] if cores > 1 else [])
+
+    @pytest.mark.parametrize("cpu_count, want", [(3, 3), (None, 1)])
+    def test_usable_cores_without_affinity(self, cpu_count, want, monkeypatch):
+        # a platform without sched_getaffinity falls back to os.cpu_count(),
+        # and to one core when that is unknown; a recording stand-in, never a real pool
+        pools = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool(pools))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert cli._usable_cores() == want
+        code, _, _ = run_cli([
+            "mc-check", "--eta", "0.8", "--alpha-q", "1", "--theta", "0.6", "--n", "100",
+            "--grid-start", "0", "--grid-stop", "4", "--grid-step", "1", "--parallel", "8",
+        ])
+        assert code == 0
+        assert pools == ([want] if want > 1 else [])
 
     def test_mc_check_single_usable_core_starts_no_pool(self, monkeypatch):
         # pinned to one core of a larger machine: os.cpu_count() still counts

@@ -47,6 +47,8 @@ from srbosonic.schemes import (
     _discrimination_side,
     classical_channel,
     classical_total_variance,
+    forbidden_interval_classical,
+    success_classical,
     success_discrimination,
 )
 from srbosonic.threshold import (
@@ -336,6 +338,28 @@ class TestPrivateRate:
         rhs = mutual_information(classical_channel(base, 1.2, 0.9), 0.5)
         rhs -= mutual_information(classical_channel(base, 1.2, 0.0), 0.5)
         assert lhs == rhs
+
+    def test_receiver_forbidden_set_is_that_of_mutual_information(self):
+        # The forbidden-interval theorem is stated for mutual information
+        # (Kosko and Mitaim, "Stochastic resonance in noisy threshold
+        # neurons", Neural Networks 16, 2003).  At the receiver site the rate
+        # moves exactly with I(A:B), whose forbidden set is not the P_s
+        # interval: at theta = 1.0, outside +-0.9551, noise raises P_s but
+        # only lowers I(A:B); at theta = 1.2 it raises I(A:B) too.
+        base = fig_base(site=SITE_RECEIVER)
+        assert forbidden_interval_classical(base).hi == pytest.approx(0.9551, abs=5e-5)
+        sigma2s = [(0.02 * k) ** 2 for k in range(1, 251)]
+
+        def best_gain(curve):
+            return max(curve(sigma2) for sigma2 in sigma2s) - curve(0.0)
+
+        def info(theta):
+            return lambda sigma2: mutual_information(classical_channel(base, theta, sigma2), 0.5)
+
+        success_gain = best_gain(lambda sigma2: success_classical(base, 1.0, sigma2))
+        assert success_gain == pytest.approx(8.18e-4, abs=5e-6)
+        assert -1e-5 < best_gain(info(1.0)) < 0.0
+        assert best_gain(info(1.2)) == pytest.approx(3.2e-3, abs=5e-5)
 
     def test_can_be_negative(self):
         assert private_rate(PrivateScenario(base=fig_base(), theta=2.5), 0.0) < 0.0

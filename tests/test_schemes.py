@@ -419,10 +419,10 @@ class TestForbiddenIntervalClassical:
         assert (iv.residual_lo, iv.residual_hi) == (0.0, 0.0)
 
     def test_weak_signal_boundaries_match_oracle(self):
-        # The lower root lies ~1.6e8 out; the upper one, 1.4e-10 above the
-        # level, has the ill-conditioned residual identity (|sigma*^2| ~ 1)
-        # while theta itself is correctly rounded.  Oracle: a 60-digit
-        # mpmath bisection of g.
+        # The lower root lies ~1.6e8 out; the upper one lies 1.4e-10 above
+        # the level, a root of g in u = ln|theta - level| like the lower one,
+        # and theta is correctly rounded.  Oracle: a 60-digit mpmath
+        # bisection of g.
         iv = forbidden_interval_classical(
             ClassicalScenario(eta=0.5, alpha_q=1e-8, prior0=0.01)
         )
