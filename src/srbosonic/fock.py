@@ -24,18 +24,14 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import CutoffError, DomainError, _count, _finite, _matrix, _nonnegative
+from .errors import CutoffError, DomainError, _count, _matrix, _nonnegative, _real
 
 if TYPE_CHECKING:  # annotations only; numpy loads where it is used
     import numpy as np
 
 __all__ = [
-    "FockOperator",
     "FockDensity",
     "GaussianStateOneMode",
-    "ladder",
-    "displacement_op",
-    "squeeze_op",
     "thermal_state",
     "symplectic_eigenvalue",
     "suggest_cutoff",
@@ -60,21 +56,6 @@ def _validate_dim(dim) -> int:
     if dim > MAX_CUTOFF:  # before any dim x dim array: 268 MB at 4097, 160 GB at 1e5
         raise DomainError(f"cutoff dimension must be <= MAX_CUTOFF = {MAX_CUTOFF}, got {dim}")
     return dim
-
-
-@dataclass(frozen=True, eq=False)
-class FockOperator:
-    """A dim x dim complex matrix acting on the truncated number basis."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        dim = _validate_dim(self.dim)
-        arr = _matrix("operator", self.entries, dim)
-        arr.setflags(write=False)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,13 +101,15 @@ class GaussianStateOneMode:
     def __post_init__(self) -> None:
         import numpy as np
 
-        try:
-            mean = tuple(float(v) for v in self.mean)
+        try:  # _real refuses a numpy complex, whose float() would drop the imaginary part
+            mean = tuple(_real("mean", v) for v in self.mean)
         except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"mean must be a real pair, got {self.mean!r}") from exc
         if len(mean) != 2 or not all(math.isfinite(v) for v in mean):
             raise DomainError(f"mean must be a finite real pair, got {self.mean!r}")
         try:
+            if np.iscomplexobj(self.cov):  # numpy would drop the imaginary part with a warning
+                raise TypeError("complex entries")
             cov = np.array(self.cov, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"cov must be a real 2x2 matrix: {exc}") from exc
@@ -161,13 +144,6 @@ def _ladder_arrays(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return a, a.conj().T
 
 
-def ladder(dim: int) -> tuple[FockOperator, FockOperator]:
-    """Annihilation and creation operators: a[n-1, n] = √n, a† its adjoint."""
-    dim = _validate_dim(dim)
-    a, adag = _ladder_arrays(dim)
-    return FockOperator(dim, a), FockOperator(dim, adag)
-
-
 def _unitary_from_generator(gen: np.ndarray, what: str) -> np.ndarray:
     import numpy as np
 
@@ -192,30 +168,6 @@ def _squeeze(xi: complex, a: np.ndarray, adag: np.ndarray) -> np.ndarray:
     """exp((ξ* a² − ξ a†²)/2) on the block spanned by the ladder arrays."""
     gen = 0.5 * (xi.conjugate() * (a @ a) - xi * (adag @ adag))
     return _unitary_from_generator(gen, "squeeze")
-
-
-def displacement_op(beta: complex, dim: int) -> FockOperator:
-    """exp(β a† − β* a) on the truncated basis.
-
-    Unitarity on the retained block is checked to 1e-8; a failure means
-    the cutoff is too small for this β.
-    """
-    dim = _validate_dim(dim)
-    beta = complex(beta)
-    if not (math.isfinite(beta.real) and math.isfinite(beta.imag)):
-        raise DomainError(f"displacement amplitude must be finite, got {beta!r}")
-    return FockOperator(dim, _displacement(beta, *_ladder_arrays(dim)))
-
-
-def squeeze_op(r: float, dim: int) -> FockOperator:
-    """exp((r/2)(a² − a†²)): positive r shrinks the position variance.
-
-    S(r)|0⟩ has position variance e^{-2r}/2.  Same unitarity guard as
-    displacement_op.
-    """
-    dim = _validate_dim(dim)
-    r = _finite("squeezing parameter", r)
-    return FockOperator(dim, _squeeze(r, *_ladder_arrays(dim)))
 
 
 def _thermal_cutoff(nbar: float) -> float:

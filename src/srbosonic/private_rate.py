@@ -18,10 +18,11 @@ the closed form.  No Fock density is built, but the thermal index is cut
 where the Fock engine cuts it (``fock._thermal_cutoff``).
 
 χ never depends on the decoding threshold θ, and it depends on σ only
-through the eavesdropper's added variance σ_E² (σ² at the sender site, 0
-at the receiver site).  A rate over a σ grid therefore computes χ once
-per distinct σ_E² (``_chi_by_sigma2``) and shares it across every θ; the
-rate value I(A:B) − χ itself is written once, in ``_rate``.
+through the eavesdropper's share of the added variance, σ_E² = (1 − c)σ²
+((1 − η)σ² at the sender site, 0 at the receiver site).  A rate over a σ
+grid therefore computes χ once per distinct σ_E² (``_chi_by_sigma2``) and
+shares it across every θ; the rate value I(A:B) − χ itself is written
+once, in ``_rate``.
 
 Small sender-site noise at r = 0 always lowers χ faster than linearly.
 Eve's two states are then coherent at σ = 0, with |β₁ − β₀|² = x₀ =
@@ -283,13 +284,14 @@ def _rate(base: ClassicalScenario, theta: float, sigma2: float, chi: float) -> f
 
 
 def _chi_by_sigma2(base: ClassicalScenario, sigmas) -> dict:
-    """σ² → χ over a σ grid, one ``holevo_chi`` per distinct σ_E² (0 at the receiver site)."""
-    sender = base.noise_site == SITE_SENDER
-    sigma2s = [sig * sig for sig in sigmas]
-    # largest σ_E² (largest cutoff) first, so a grid past the χ ceiling fails at once
-    keys = sorted({s2 if sender else 0.0 for s2 in sigma2s}, reverse=True)
-    chi_at = {key: holevo_chi(eve_ensemble(base, key)) for key in keys}
-    return {s2: chi_at[s2 if sender else 0.0] for s2 in sigma2s}
+    """σ² → χ over a σ grid, one ``holevo_chi`` per distinct share σ_E² = (1 − c)σ²."""
+    eve_weight = 1.0 - _noise_weight(base.noise_site, base.eta)
+    # eve_ensemble reads σ² only through this product, so any σ² of a share stands for it
+    by_share = {eve_weight * (sig * sig): sig * sig for sig in sigmas}
+    # largest share (largest cutoff) first, so a grid past the χ ceiling fails at once
+    keys = sorted(by_share, reverse=True)
+    chi_at = {key: holevo_chi(eve_ensemble(base, by_share[key])) for key in keys}
+    return {sig * sig: chi_at[eve_weight * (sig * sig)] for sig in sigmas}
 
 
 def private_rate(s: PrivateScenario, sigma2: float) -> float:

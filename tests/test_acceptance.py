@@ -18,10 +18,11 @@ from scipy.optimize import minimize_scalar
 from srbosonic.cli import main as cli_main
 from srbosonic.fock import (
     GaussianStateOneMode,
+    _displacement,
+    _ladder_arrays,
+    _squeeze,
     converged_fock_density,
-    displacement_op,
     gaussian_entropy,
-    squeeze_op,
     von_neumann_entropy,
 )
 from srbosonic.private_rate import (
@@ -296,13 +297,13 @@ def test_criterion_08_fock_space_oracles(capsys):
     t0 = time.perf_counter()
     worst_disp = 0.0
     for beta in (1.3, 0.8 - 0.6j):
-        col = displacement_op(beta, 100).entries[:, 0]
+        col = _displacement(complex(beta), *_ladder_arrays(100))[:, 0]
         pref = math.exp(-abs(beta) ** 2 / 2.0)
         for n in range(7):
             closed = pref * beta ** n / math.sqrt(math.factorial(n))
             worst_disp = max(worst_disp, abs(col[n] - closed))
     r = 0.9
-    col = squeeze_op(r, 120).entries[:, 0]
+    col = _squeeze(r, *_ladder_arrays(120))[:, 0]
     c, tnh = math.cosh(r), math.tanh(r)
     worst_sq = max(
         abs(col[0] - 1.0 / math.sqrt(c)),

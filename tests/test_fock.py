@@ -17,14 +17,13 @@ from srbosonic.errors import CutoffError, DomainError
 from srbosonic.fock import (
     MAX_CUTOFF,
     FockDensity,
-    FockOperator,
     GaussianStateOneMode,
+    _displacement,
+    _ladder_arrays,
+    _squeeze,
     converged_fock_density,
-    displacement_op,
     gaussian_entropy,
     gaussian_to_fock,
-    ladder,
-    squeeze_op,
     suggest_cutoff,
     symplectic_eigenvalue,
     thermal_state,
@@ -66,14 +65,16 @@ def vacuum_state():
 
 
 class TestLadder:
+    """The ladder arrays, and the cutoff rule a build checks before it allocates them."""
+
     def test_dim_two_exact(self):
-        a, adag = ladder(2)
-        assert np.array_equal(a.entries, np.array([[0, 1], [0, 0]], dtype=complex))
-        assert np.array_equal(adag.entries, a.entries.conj().T)
+        a, adag = _ladder_arrays(2)
+        assert np.array_equal(a, np.array([[0, 1], [0, 0]], dtype=complex))
+        assert np.array_equal(adag, a.conj().T)
 
     def test_number_operator_diagonal(self):
-        a, adag = ladder(9)
-        number = adag.entries @ a.entries
+        a, adag = _ladder_arrays(9)
+        number = adag @ a
         assert np.allclose(np.diag(number).real, np.arange(9), atol=1e-14)
         assert np.allclose(number - np.diag(np.diag(number)), 0.0, atol=0.0)
 
@@ -81,38 +82,38 @@ class TestLadder:
         # [a, a†] = I everywhere except the last diagonal entry, which
         # carries the truncation artifact 1 - dim
         dim = 6
-        a, adag = ladder(dim)
-        comm = a.entries @ adag.entries - adag.entries @ a.entries
+        a, adag = _ladder_arrays(dim)
+        comm = a @ adag - adag @ a
         want = np.eye(dim, dtype=complex)
         want[dim - 1, dim - 1] = 1 - dim
         assert np.allclose(comm, want, atol=1e-12)
 
     def test_small_dim_rejected(self):
         with pytest.raises(DomainError):
-            ladder(1)
+            gaussian_to_fock(vacuum_state(), 1)
         with pytest.raises(DomainError):
-            ladder(2.0)
+            gaussian_to_fock(vacuum_state(), 2.0)
         with pytest.raises(DomainError):
-            ladder(8.0)
+            gaussian_to_fock(vacuum_state(), 8.0)
         with pytest.raises(DomainError):
-            ladder(True)
+            gaussian_to_fock(vacuum_state(), True)
 
     def test_numpy_integer_dim_accepted(self):
-        a, adag = ladder(np.int64(8))
-        assert type(a.dim) is int and a.dim == 8
-        assert np.array_equal(a.entries, ladder(8)[0].entries)
+        rho = gaussian_to_fock(vacuum_state(), np.int64(8))
+        assert type(rho.dim) is int and rho.dim == 8
+        assert np.array_equal(rho.entries, gaussian_to_fock(vacuum_state(), 8).entries)
 
 
 class TestDisplacement:
     def test_zero_is_identity(self):
-        d = displacement_op(0.0, 12)
-        assert np.allclose(d.entries, np.eye(12), atol=1e-14)
+        d = _displacement(0j, *_ladder_arrays(12))
+        assert np.allclose(d, np.eye(12), atol=1e-14)
 
     @pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 1.2 - 1.6j, 0.5j])
     def test_vacuum_element(self, beta):
         # |<0|D(beta)|0>| = exp(-|beta|^2/2)
-        d = displacement_op(beta, 100)
-        assert abs(abs(d.entries[0, 0]) - math.exp(-abs(beta) ** 2 / 2)) <= 1e-8
+        d = _displacement(complex(beta), *_ladder_arrays(100))
+        assert abs(abs(d[0, 0]) - math.exp(-abs(beta) ** 2 / 2)) <= 1e-8
 
     @pytest.mark.parametrize("beta", [0.7, 1.2 - 0.5j, 2 + 1j])
     def test_low_block_matches_cahill_glauber(self, beta):
@@ -127,7 +128,7 @@ class TestDisplacement:
 
         beta = complex(beta)
         x = abs(beta) ** 2
-        d = displacement_op(beta, 80).entries
+        d = _displacement(beta, *_ladder_arrays(80))
         for m in range(8):
             for n in range(8):
                 if m >= n:
@@ -140,42 +141,38 @@ class TestDisplacement:
 
     def test_group_inverse(self):
         beta = 0.8 + 0.3j
-        prod = displacement_op(beta, 60).entries @ displacement_op(-beta, 60).entries
+        prod = _displacement(beta, *_ladder_arrays(60)) @ _displacement(-beta, *_ladder_arrays(60))
         assert np.max(np.abs(prod - np.eye(60))) <= 1e-8
 
     def test_unitary_on_block(self):
-        d = displacement_op(1.5, 80).entries
+        d = _displacement(1.5 + 0j, *_ladder_arrays(80))
         assert np.max(np.abs(d.conj().T @ d - np.eye(80))) <= 1e-8
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(DomainError):
-            displacement_op(complex(math.nan, 0.0), 10)
 
 
 class TestSqueeze:
     def test_zero_is_identity(self):
-        s = squeeze_op(0.0, 12)
-        assert np.allclose(s.entries, np.eye(12), atol=1e-14)
+        s = _squeeze(0.0, *_ladder_arrays(12))
+        assert np.allclose(s, np.eye(12), atol=1e-14)
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 1.5])
     def test_vacuum_element(self, r):
         # |<0|S(r)|0>| = 1/sqrt(cosh r)
-        s = squeeze_op(r, 120)
-        assert abs(abs(s.entries[0, 0]) - 1.0 / math.sqrt(math.cosh(r))) <= 1e-8
+        s = _squeeze(r, *_ladder_arrays(120))
+        assert abs(abs(s[0, 0]) - 1.0 / math.sqrt(math.cosh(r))) <= 1e-8
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 1.5])
     def test_two_photon_element_sign(self, r):
         # <2|S(r)|0> = -tanh(r)/sqrt(2 cosh r): pins the generator sign,
         # not just its magnitude
-        s = squeeze_op(r, 120)
+        s = _squeeze(r, *_ladder_arrays(120))
         want = -math.tanh(r) / math.sqrt(2.0 * math.cosh(r))
-        assert abs(s.entries[2, 0] - want) <= 1e-8
+        assert abs(s[2, 0] - want) <= 1e-8
 
     @pytest.mark.parametrize("r,dim", [(0.5, 80), (1.5, 280)])
     def test_position_variance(self, r, dim):
         # squeezed vacuum: var_q = exp(-2r)/2; the r=1.5 state needs a
         # deep cutoff because its p-quadrature variance is e^3/2
-        psi = squeeze_op(r, dim).entries[:, 0]
+        psi = _squeeze(r, *_ladder_arrays(dim))[:, 0]
         rho = np.outer(psi, psi.conj())
         _, _, var_q, var_p, _ = quadrature_moments(rho)
         assert abs(var_q - math.exp(-2 * r) / 2) <= 1e-8
@@ -251,7 +248,7 @@ class TestGaussianToFock:
         alpha = 1.2
         g = GaussianStateOneMode((math.sqrt(2) * alpha, 0.0), [[0.5, 0.0], [0.0, 0.5]])
         rho = converged_fock_density(g)
-        psi = displacement_op(alpha, rho.dim).entries[:, 0]
+        psi = _displacement(complex(alpha), *_ladder_arrays(rho.dim))[:, 0]
         fidelity = float((psi.conj() @ rho.entries @ psi).real)
         assert abs(fidelity - 1.0) <= 1e-8
 
@@ -357,14 +354,14 @@ class TestDensityType:
             FockDensity(2, [[1.2, 0.0], [0.0, -0.2]])
 
     def test_operator_entries_read_only(self):
-        a, _ = ladder(4)
+        rho = thermal_state(0.0, 4)
         with pytest.raises(ValueError):
-            a.entries[0, 0] = 1.0
+            rho.entries[0, 0] = 1.0
 
 
 class TestEntropy:
     def test_pure_state_zero(self):
-        psi = displacement_op(0.9, 40).entries[:, 0]
+        psi = _displacement(0.9 + 0j, *_ladder_arrays(40))[:, 0]
         rho = FockDensity(40, np.outer(psi, psi.conj()))
         assert von_neumann_entropy(rho) <= 1e-9
 
@@ -385,7 +382,7 @@ class TestEntropy:
             betas = rng.uniform(-1.0, 1.0, size=2)
             parts = []
             for nbar, beta in zip(nbars, betas):
-                d = displacement_op(float(beta), dim).entries
+                d = _displacement(complex(beta), *_ladder_arrays(dim))
                 parts.append(d @ thermal_state(float(nbar), dim).entries @ d.conj().T)
             mix = FockDensity(dim, 0.5 * parts[0] + 0.5 * parts[1])
             lhs = von_neumann_entropy(mix)
@@ -625,9 +622,6 @@ class TestCutoffCeiling:
         # an engine without the ceiling would stop before a dim x dim array
         hot = GaussianStateOneMode((0.0, 0.0), [[1e7, 0.0], [0.0, 1e7]])
         for build in (
-            lambda: ladder(dim),
-            lambda: displacement_op(0.5, dim),
-            lambda: squeeze_op(0.3, dim),
             lambda: thermal_state(1e7, dim),
             lambda: gaussian_to_fock(hot, dim),
         ):
@@ -635,7 +629,8 @@ class TestCutoffCeiling:
                 build()
 
     def test_max_cutoff_itself_passes_validation(self):
-        with pytest.raises(AssertionError, match=f"dim {MAX_CUTOFF}"):
-            ladder(MAX_CUTOFF)
+        hot = GaussianStateOneMode((0.0, 0.0), [[1e7, 0.0], [0.0, 1e7]])
+        with pytest.raises(CutoffError, match=f"thermal tail .* at cutoff {MAX_CUTOFF} "):
+            gaussian_to_fock(hot, MAX_CUTOFF)
         with pytest.raises(CutoffError, match="thermal tail"):
             thermal_state(1e7, MAX_CUTOFF)

@@ -13,11 +13,11 @@ import pytest
 
 from srbosonic.errors import CutoffError, DomainError, NoCriticalPointError
 from srbosonic.fock import (
-    FockOperator,
+    FockDensity,
     GaussianStateOneMode,
-    displacement_op,
+    _displacement,
+    _ladder_arrays,
     gaussian_to_fock,
-    squeeze_op,
 )
 from srbosonic.private_rate import EveEnsemble, holevo_chi
 from srbosonic.qubit import QuantumCommParams, apply_channel, haar_fidelity_oracle
@@ -57,15 +57,14 @@ def eve_pair():
      "residuals must be non-negative"),
     (lambda: McEstimate(0.5, 0.1, 0, 0), DomainError, "n_samples must be >= 1"),
     (lambda: McEstimate(0.5, -0.1, 10, 0), DomainError, "std_error must be non-negative"),
-    (lambda: FockOperator(2, np.eye(3)), DomainError, "must be a 2x2 matrix, got shape (3, 3)"),
-    (lambda: FockOperator(2, [[1.0, math.nan], [0.0, 1.0]]), DomainError,
-     "operator entries must be finite"),
+    (lambda: FockDensity(2, np.eye(3)), DomainError, "must be a 2x2 matrix, got shape (3, 3)"),
+    (lambda: FockDensity(2, [[1.0, math.nan], [0.0, 1.0]]), DomainError,
+     "density entries must be finite"),
     (lambda: GaussianStateOneMode((1j, 0.0), VACUUM_COV), DomainError, "mean must be a real pair"),
     (lambda: GaussianStateOneMode((0.0, 0.0), np.eye(3)), DomainError,
      "cov must be 2x2, got shape (3, 3)"),
     (lambda: GaussianStateOneMode((0.0, 0.0), [[math.inf, 0.0], [0.0, 0.5]]), DomainError,
      "cov must be finite"),
-    (lambda: squeeze_op(math.nan, 10), DomainError, "squeezing parameter must be finite"),
     (lambda: apply_channel(np.diag([math.nan, 1.0]), QuantumCommParams(0.3, 0.3, 0.1)),
      DomainError, "qubit state entries must be finite"),
     (lambda: EveEnsemble("x", eve_pair().state1, 0.5), DomainError,
@@ -80,19 +79,23 @@ def eve_pair():
      "seed must be an integer, got 1.5"),
     (lambda: haar_fidelity_oracle(QUBIT, 2.5, 0), DomainError, "n must be an integer, got 2.5"),
     # matrices numpy cannot convert
-    (lambda: FockOperator(2, [[1, 0], [0]]), DomainError, "operator must be a 2x2 matrix"),
+    (lambda: FockDensity(2, [[1, 0], [0]]), DomainError, "density must be a 2x2 matrix"),
     (lambda: apply_channel("ab", QUBIT), DomainError, "qubit state must be a 2x2 matrix"),
     (lambda: GaussianStateOneMode((0, 0), [[1, 0], [0]]), DomainError,
      "cov must be a real 2x2 matrix"),
+    # complex numpy values, whose float() keeps the real part with only a warning
+    (lambda: GaussianStateOneMode((0, 0), np.array([[0.5 + 1j, 0], [0, 0.5]])), DomainError,
+     "cov must be a real 2x2 matrix"),
+    (lambda: GaussianStateOneMode(np.array([1 + 1j, 0]), VACUUM_COV), DomainError,
+     "mean must be a real pair"),
     # scalars
-    (lambda: squeeze_op(0.3 + 0.1j, 10), DomainError, "squeezing parameter must be real"),
     (lambda: ThresholdChannel("a", 0.5), DomainError, "p00 must be real"),
     (lambda: gauss_tail(0.0, 0.0, math.nan), DomainError, "var must be positive, got nan"),
 ], ids=["interval-order", "interval-residual", "mc-samples", "mc-std-error", "operator-shape",
-        "operator-nan", "complex-mean", "cov-shape", "cov-inf", "squeeze-nan", "qubit-nan",
+        "operator-nan", "complex-mean", "cov-shape", "cov-inf", "qubit-nan",
         "eve-state", "chi-type", "mc-float-n", "mc-bool-n", "mc-negative-seed",
         "mc-float-seed", "haar-float-n", "operator-ragged", "qubit-string", "cov-ragged",
-        "squeeze-complex", "channel-string", "tail-nan-var"])
+        "cov-numpy-complex", "mean-numpy-complex", "channel-string", "tail-nan-var"])
 def test_constructor_and_validator_guards(build, exc, fragment):
     with pytest.raises(exc) as info:
         build()
@@ -153,7 +156,7 @@ class TestNumericGates:
 
         monkeypatch.setattr(np.linalg, "eigh", stretched)
         with pytest.raises(CutoffError, match="displacement at cutoff 10 lost unitarity"):
-            displacement_op(0.5, 10)
+            _displacement(0.5 + 0j, *_ladder_arrays(10))
 
     def test_fock_trace_deficit(self, monkeypatch):
         # a displacement that loses 0.2% of the trace passes no build
