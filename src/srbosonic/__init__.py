@@ -9,6 +9,8 @@ leakage and the private-rate probe), ``cli`` (the ``srbosonic`` command).
 
 Every name in a layer's ``__all__`` (and in ``errors``) is re-exported
 here; ``srbosonic.private_rate`` is therefore the function, not the module.
+The package ships no test oracle: the Fock cutoff ladder and the Monte
+Carlo check of the qubit fidelity live in ``tests/oracles.py``.
 """
 
 from . import errors, fock, private_rate, qubit, rootfind, schemes, threshold

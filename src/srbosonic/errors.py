@@ -15,7 +15,8 @@ point receives a value, and raise ``DomainError`` on a bad one:
 - counts (``_count``) accept Python or numpy integers, never a bool, and
   return Python ints;
 - matrices (``_matrix``) accept anything numpy turns into a square array
-  and return a fresh complex one, finite and, when asked, Hermitian.
+  of numbers, never of strings, and return a fresh complex one, finite
+  and Hermitian to the caller's tolerance.
 """
 
 import math
@@ -78,22 +79,23 @@ def _count(name: str, value, low: int) -> int:
     return int(value)
 
 
-def _matrix(name: str, value, dim: int, herm_tol: float | None = None):
-    """A new dim x dim complex C-ordered copy of value: finite, Hermitian to herm_tol if given."""
+def _matrix(name: str, value, dim: int, herm_tol: float):
+    """A new dim x dim complex C-ordered copy of value: finite, Hermitian to herm_tol."""
     import numpy as np
 
     try:
         m = np.array(value, dtype=complex, order="C")
+        if np.asarray(value).dtype.kind in "US":  # numpy parses "1" as 1+0j
+            raise TypeError("entries are strings")
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must be a {dim}x{dim} matrix of numbers: {exc}") from exc
     if m.shape != (dim, dim):
         raise DomainError(f"{name} must be a {dim}x{dim} matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise DomainError(f"{name} entries must be finite")
-    if herm_tol is not None:
-        defect = float(np.max(np.abs(m - m.conj().T)))
-        if defect > herm_tol:
-            raise DomainError(f"{name} must be Hermitian, defect {defect:.3e}")
+    defect = float(np.max(np.abs(m - m.conj().T)))
+    if defect > herm_tol:
+        raise DomainError(f"{name} must be Hermitian, defect {defect:.3e}")
     return m
 
 

@@ -13,9 +13,11 @@ operation.  That is guarded where it matters: ``gaussian_to_fock``
 refuses a state whose thermal core drops a tail above 1e-12 (a cutoff
 below ``_thermal_cutoff``, which also sizes χ's Gram route) or whose
 moments miss the request by more than 1e-6 (its 1e-8 trace-deficit check
-guards unitarity only: a small cutoff does not trip it), and
-``converged_fock_density`` returns the first build that passes, growing the
-cutoff 25% at a time up to ``MAX_CUTOFF``; that tail certifies its entropy.
+guards unitarity only: a small cutoff does not trip it).  A build that
+passes has the spectrum of its renormalized thermal core, so that tail
+certifies its entropy.  χ builds no Fock density: this engine is the Gram
+route's cross-check, and the cutoff ladder that grows a cutoff until a
+build passes is a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import CutoffError, DomainError, _count, _matrix, _nonnegative, _real
+from .errors import CutoffError, DomainError, _count, _matrix, _real
 
 if TYPE_CHECKING:  # annotations only; numpy loads where it is used
     import numpy as np
@@ -32,11 +34,8 @@ if TYPE_CHECKING:  # annotations only; numpy loads where it is used
 __all__ = [
     "FockDensity",
     "GaussianStateOneMode",
-    "thermal_state",
     "symplectic_eigenvalue",
-    "suggest_cutoff",
     "gaussian_to_fock",
-    "converged_fock_density",
     "von_neumann_entropy",
     "gaussian_entropy",
     "MAX_CUTOFF",
@@ -47,7 +46,6 @@ THERMAL_TAIL_TOL = 1e-12
 TRACE_DEFICIT_TOL = 1e-8
 MOMENT_TOL = 1e-6
 ENTROPY_CLIP = 1e-14
-CUTOFF_GROWTH = 1.25
 MAX_CUTOFF = 4096
 
 
@@ -108,8 +106,10 @@ class GaussianStateOneMode:
         if len(mean) != 2 or not all(math.isfinite(v) for v in mean):
             raise DomainError(f"mean must be a finite real pair, got {self.mean!r}")
         try:
-            if np.iscomplexobj(self.cov):  # numpy would drop the imaginary part with a warning
-                raise TypeError("complex entries")
+            # numpy would drop an imaginary part with a warning and parse "0.5" as 0.5
+            kind = np.asarray(self.cov).dtype.kind
+            if kind in "cUS":
+                raise TypeError("complex entries" if kind == "c" else "entries are strings")
             cov = np.array(self.cov, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"cov must be a real 2x2 matrix: {exc}") from exc
@@ -198,39 +198,11 @@ def _thermal_core(nbar: float, dim: int) -> np.ndarray:
     return weights / weights.sum()
 
 
-def thermal_state(nbar: float, dim: int) -> FockDensity:
-    """Diagonal geometric (thermal) state with mean photon number nbar.
-
-    The discarded tail mass ratio (nbar/(nbar+1))^dim must be at most
-    1e-12, else CutoffError; the retained block is renormalized.
-    """
-    import numpy as np
-
-    dim = _validate_dim(dim)
-    nbar = _nonnegative("mean photon number", nbar)
-    return FockDensity(dim, np.diag(_thermal_core(nbar, dim)))
-
-
 def symplectic_eigenvalue(g: GaussianStateOneMode) -> float:
     """√det(cov); equals 1/2 for pure states, nbar + 1/2 for thermal."""
     cov = g.cov
     det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
     return math.sqrt(max(det, 0.25))
-
-
-def suggest_cutoff(g: GaussianStateOneMode) -> int:
-    """converged_fock_density's first cutoff: 20 + 10|mean|² + 20·λ_max(cov), rounded up.
-
-    λ_max, the largest quadrature variance, equals ν for an unsqueezed cov
-    and, unlike ν, grows with squeezing.  A start past the float range is a
-    CutoffError.
-    """
-    (a, b), (_, d) = g.cov.tolist()
-    lam_max = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
-    start = 20.0 + 10.0 * (g.mean[0] * g.mean[0] + g.mean[1] * g.mean[1]) + 20.0 * lam_max
-    if not math.isfinite(start):
-        raise CutoffError(f"starting cutoff {start!r} exceeds MAX_CUTOFF {MAX_CUTOFF}; nothing built")
-    return int(math.ceil(start))
 
 
 def _moment_defect(rho: np.ndarray, g: GaussianStateOneMode, a: np.ndarray, adag: np.ndarray) -> float:
@@ -289,26 +261,6 @@ def gaussian_to_fock(g: GaussianStateOneMode, dim: int) -> FockDensity:
             f"moments off by {worst:.3e} at cutoff {dim}; the state needs a larger basis"
         )
     return FockDensity(dim, rho)
-
-
-def converged_fock_density(g: GaussianStateOneMode) -> FockDensity:
-    """gaussian_to_fock at the first cutoff that passes its gates.
-
-    The cutoff starts at suggest_cutoff and grows 25% at a time up to
-    MAX_CUTOFF; no cutoff passing is a CutoffError quoting the last gate
-    failure.  A build u ρ_th u† has the spectrum of its renormalized core,
-    q^k (1 − q)/(1 − ε) for k < K, so its entropy is g(ν) − h(ε)/(1 − ε)
-    (chain rule), within 4.2e-11 bits of ``gaussian_entropy`` at ε ≤ 1e-12.
-    """
-    start = dim = suggest_cutoff(g)
-    failure = f"starting cutoff {start} exceeds MAX_CUTOFF {MAX_CUTOFF}; nothing built"
-    while dim <= MAX_CUTOFF:
-        try:
-            return gaussian_to_fock(g, dim)
-        except CutoffError as exc:
-            failure = f"no cutoff from {start} to {MAX_CUTOFF} passed; last: {exc}"
-        dim = int(math.ceil(dim * CUTOFF_GROWTH))
-    raise CutoffError(failure)
 
 
 def _spectrum_entropy(lam: np.ndarray) -> float:

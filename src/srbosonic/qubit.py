@@ -37,8 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, NoCriticalPointError, _count, _finite, _matrix, _nonnegative, _store
-from .threshold import _MC_BLOCK, McEstimate
+from .errors import DomainError, NoCriticalPointError, _finite, _matrix, _nonnegative, _store
 
 if TYPE_CHECKING:  # annotations only; numpy loads where it is used
     import numpy as np
@@ -51,7 +50,6 @@ __all__ = [
     "critical_sigma2_quantum",
     "choi_state",
     "log_negativity",
-    "haar_fidelity_oracle",
 ]
 
 _HERM_TOL = 1e-12
@@ -214,45 +212,3 @@ def log_negativity(choi: np.ndarray) -> float:
         )
     trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))
     return max(0.0, math.log2(trace_norm))
-
-
-def haar_fidelity_oracle(p: QuantumCommParams, n: int, seed: int) -> McEstimate:
-    """Monte Carlo estimate of the average fidelity over Haar-random inputs.
-
-    Draws pure states as normalized complex Gaussian pairs, pushes each
-    through the channel action, and averages the input-output fidelity.
-    Independent of the closed form in average_fidelity, so the two serve as
-    mutual checks.
-
-    The normals are drawn ``_MC_BLOCK`` states at a time, in the order of
-    one (n, 4) draw, and each block's mean and sum of squared deviations
-    is merged into the running pair (Chan's pairwise update), so memory
-    is one block whatever n.  The estimate and its standard error agree
-    with the one-shot mean and sample deviation to rounding.
-    """
-    import numpy as np
-
-    n, seed = _count("n", n, 1), _count("seed", seed, 0)
-    rng = np.random.Generator(np.random.Philox(seed))
-    pl, pg = pi_probs(p)
-    mean, m2 = 0.0, 0.0
-    for start in range(0, n, _MC_BLOCK):
-        g = rng.standard_normal((min(_MC_BLOCK, n - start), 4))
-        # pa = |z|² / (|z|² + |w|²) for z = g0 + i g1, w = g2 + i g3
-        z2 = g[:, 0] ** 2 + g[:, 1] ** 2
-        pa = z2 / (z2 + g[:, 2] ** 2 + g[:, 3] ** 2)
-        pb = 1.0 - pa
-        f = (
-            pa**2 * (1.0 - pl)
-            + pb**2 * (1.0 - pg)
-            + pa * pb * (pl + pg)
-            + 2.0 * pa * pb * (1.0 - pl - pg)
-        )
-        size = f.size
-        total = start + size
-        block_mean = float(f.mean())
-        delta = block_mean - mean
-        mean += delta * size / total
-        m2 += float(np.square(f - block_mean).sum()) + delta * delta * start * size / total
-    se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
-    return McEstimate(estimate=mean, std_error=se, n_samples=n, seed=seed)

@@ -21,7 +21,6 @@ from srbosonic.fock import (
     _displacement,
     _ladder_arrays,
     _squeeze,
-    converged_fock_density,
     gaussian_entropy,
     von_neumann_entropy,
 )
@@ -59,6 +58,8 @@ from srbosonic.threshold import (
     BinaryThresholdSpec,
     mc_success_probability,
 )
+
+from oracles import converged_fock_density
 
 CANONICAL = ClassicalScenario(eta=0.8, alpha_q=1.0, r=0.0, prior0=0.5)
 SENDER = ClassicalScenario(eta=0.8, alpha_q=1.0, r=0.0, prior0=0.5, noise_site="sender")

@@ -21,14 +21,14 @@ from srbosonic.fock import (
     _displacement,
     _ladder_arrays,
     _squeeze,
-    converged_fock_density,
     gaussian_entropy,
     gaussian_to_fock,
-    suggest_cutoff,
     symplectic_eigenvalue,
-    thermal_state,
     von_neumann_entropy,
 )
+
+import oracles
+from oracles import converged_fock_density, suggest_cutoff
 
 fock_module = importlib.import_module("srbosonic.fock")
 
@@ -62,6 +62,11 @@ def rotated_cov(nu, s, phi):
 
 def vacuum_state():
     return GaussianStateOneMode((0.0, 0.0), [[0.5, 0.0], [0.0, 0.5]])
+
+
+def thermal_gaussian(nbar):
+    """The thermal state of mean photon number nbar: cov (nbar + 1/2)·I, mean 0."""
+    return GaussianStateOneMode((0.0, 0.0), [[nbar + 0.5, 0.0], [0.0, nbar + 0.5]])
 
 
 class TestLadder:
@@ -181,32 +186,40 @@ class TestSqueeze:
 
 class TestThermal:
     def test_zero_is_vacuum(self):
-        t = thermal_state(0.0, 8)
+        t = gaussian_to_fock(thermal_gaussian(0.0), 8)
         want = np.zeros((8, 8), dtype=complex)
         want[0, 0] = 1.0
         assert np.array_equal(t.entries, want)
 
     def test_unit_nbar_entropy(self):
         # (nbar+1)log2(nbar+1) - nbar log2(nbar) = 2 bits at nbar = 1
-        t = thermal_state(1.0, 50)
+        t = gaussian_to_fock(thermal_gaussian(1.0), 50)
         assert abs(von_neumann_entropy(t) - 2.0) <= 1e-9
 
     def test_mean_photon_number(self):
-        t = thermal_state(1.0, 50)
+        t = gaussian_to_fock(thermal_gaussian(1.0), 50)
         mean_n = float((np.diag(t.entries).real * np.arange(50)).sum())
         assert abs(mean_n - 1.0) <= 1e-9
 
     def test_trace_is_one(self):
-        t = thermal_state(2.3, 140)
+        t = gaussian_to_fock(thermal_gaussian(2.3), 140)
         assert abs(float(np.trace(t.entries).real) - 1.0) <= 1e-14
 
     def test_heavy_tail_rejected(self):
         with pytest.raises(CutoffError):
-            thermal_state(1.0, 20)
+            gaussian_to_fock(thermal_gaussian(1.0), 20)
 
     def test_negative_nbar_rejected(self):
         with pytest.raises(DomainError):
-            thermal_state(-0.1, 20)
+            gaussian_to_fock(thermal_gaussian(-0.1), 20)
+
+    @pytest.mark.parametrize("nbar, dim", [(0.0, 8), (1.0, 50), (2.3, 140)])
+    def test_build_is_the_renormalized_core(self, nbar, dim):
+        # no squeeze and no displacement touch a thermal build: it is the
+        # diagonal of the renormalized core, bit for bit
+        rho = gaussian_to_fock(thermal_gaussian(nbar), dim)
+        want = np.diag(fock_module._thermal_core(nbar, dim)).astype(complex)
+        assert np.array_equal(rho.entries, want)
 
 
 class TestGaussianStateType:
@@ -315,7 +328,7 @@ class TestGaussianToFock:
         # from a start of 30 the squeezed vacuum misses its moments (its
         # thermal cutoff is 1, so the tail gate passes every cutoff) until
         # the 25% growth loop reaches 94
-        monkeypatch.setattr(fock_module, "suggest_cutoff", lambda g: 30)
+        monkeypatch.setattr(oracles, "suggest_cutoff", lambda g: 30)
         builds = record_builds(monkeypatch)
         r = 1.2
         g = GaussianStateOneMode((0.0, 0.0), [[math.exp(-2 * r) / 2, 0.0], [0.0, math.exp(2 * r) / 2]])
@@ -329,7 +342,7 @@ class TestGaussianToFock:
     def test_adaptive_growth_outgrows_the_thermal_tail(self, monkeypatch):
         # n̄ = 2.5 drops a tail above 1e-12 below cutoff 83, so the tail gate
         # rejects 40, 50, 63 and 79
-        monkeypatch.setattr(fock_module, "suggest_cutoff", lambda g: 40)
+        monkeypatch.setattr(oracles, "suggest_cutoff", lambda g: 40)
         builds = record_builds(monkeypatch)
         g = GaussianStateOneMode((0.0, 0.0), [[3.0, 0.0], [0.0, 3.0]])
         assert fock_module._thermal_cutoff(2.5) == 83
@@ -354,7 +367,7 @@ class TestDensityType:
             FockDensity(2, [[1.2, 0.0], [0.0, -0.2]])
 
     def test_operator_entries_read_only(self):
-        rho = thermal_state(0.0, 4)
+        rho = gaussian_to_fock(thermal_gaussian(0.0), 4)
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 1.0
 
@@ -366,7 +379,7 @@ class TestEntropy:
         assert von_neumann_entropy(rho) <= 1e-9
 
     def test_thermal_two_bits(self):
-        assert abs(von_neumann_entropy(thermal_state(1.0, 50)) - 2.0) <= 1e-9
+        assert abs(von_neumann_entropy(gaussian_to_fock(thermal_gaussian(1.0), 50)) - 2.0) <= 1e-9
 
     def test_orthogonal_mixture_one_bit(self):
         entries = np.zeros((4, 4), dtype=complex)
@@ -383,7 +396,8 @@ class TestEntropy:
             parts = []
             for nbar, beta in zip(nbars, betas):
                 d = _displacement(complex(beta), *_ladder_arrays(dim))
-                parts.append(d @ thermal_state(float(nbar), dim).entries @ d.conj().T)
+                core = gaussian_to_fock(thermal_gaussian(float(nbar)), dim).entries
+                parts.append(d @ core @ d.conj().T)
             mix = FockDensity(dim, 0.5 * parts[0] + 0.5 * parts[1])
             lhs = von_neumann_entropy(mix)
             rhs = 0.5 * von_neumann_entropy(FockDensity(dim, parts[0]))
@@ -438,7 +452,7 @@ def h2(p):
 def record_builds(monkeypatch):
     """Wrap gaussian_to_fock; return the list of (dim, accepted) of every build."""
     builds = []
-    build = fock_module.gaussian_to_fock
+    build = oracles.gaussian_to_fock
 
     def counting(g, dim):
         try:
@@ -449,7 +463,7 @@ def record_builds(monkeypatch):
         builds.append((dim, True))
         return rho
 
-    monkeypatch.setattr(fock_module, "gaussian_to_fock", counting)
+    monkeypatch.setattr(oracles, "gaussian_to_fock", counting)
     return builds
 
 
@@ -488,7 +502,7 @@ class TestOneAcceptedBuild:
         def refuse(g, dim):
             raise AssertionError(f"built at cutoff {dim}")
 
-        monkeypatch.setattr(fock_module, "gaussian_to_fock", refuse)
+        monkeypatch.setattr(oracles, "gaussian_to_fock", refuse)
         g = GaussianStateOneMode((25.0, 0.0), [[0.5, 0.0], [0.0, 0.5]])
         assert suggest_cutoff(g) == 6280 > MAX_CUTOFF
         with pytest.raises(CutoffError) as info:
@@ -503,7 +517,7 @@ class TestOneAcceptedBuild:
         def refuse(g, dim):
             raise AssertionError(f"built at cutoff {dim}")
 
-        monkeypatch.setattr(fock_module, "gaussian_to_fock", refuse)
+        monkeypatch.setattr(oracles, "gaussian_to_fock", refuse)
         for mean, cov in (((1e160, 0.0), [[0.5, 0.0], [0.0, 0.5]]),
                           ((0.0, 0.0), [[1e307, 0.0], [0.0, 1.0]])):
             g = GaussianStateOneMode(mean, cov)
@@ -520,7 +534,7 @@ class TestOneAcceptedBuild:
             tried.append(dim)
             raise CutoffError(f"moments off at cutoff {dim}")
 
-        monkeypatch.setattr(fock_module, "gaussian_to_fock", reject)
+        monkeypatch.setattr(oracles, "gaussian_to_fock", reject)
         with pytest.raises(CutoffError) as info:
             converged_fock_density(vacuum_state())
         assert tried == cutoff_ladder(30)
@@ -597,13 +611,13 @@ class TestThermalCutoff:
         # n-bar 1e17: q = 1 in floating point, where a log ratio would divide by 0
         assert fock_module._thermal_cutoff(1e17) == math.inf
         with pytest.raises(CutoffError, match="thermal tail 1.000e\\+00 at cutoff 10"):
-            thermal_state(1e17, 10)
+            gaussian_to_fock(thermal_gaussian(1e17), 10)
 
     def test_builds_refuse_one_level_less(self):
         k = fock_module._thermal_cutoff(2.3)
-        assert thermal_state(2.3, k).dim == k
+        assert gaussian_to_fock(thermal_gaussian(2.3), k).dim == k
         with pytest.raises(CutoffError, match=f"at cutoff {k - 1} exceeds 1e-12"):
-            thermal_state(2.3, k - 1)
+            gaussian_to_fock(thermal_gaussian(2.3), k - 1)
 
 
 class TestCutoffCeiling:
@@ -622,7 +636,7 @@ class TestCutoffCeiling:
         # an engine without the ceiling would stop before a dim x dim array
         hot = GaussianStateOneMode((0.0, 0.0), [[1e7, 0.0], [0.0, 1e7]])
         for build in (
-            lambda: thermal_state(1e7, dim),
+            lambda: gaussian_to_fock(thermal_gaussian(1e7), dim),
             lambda: gaussian_to_fock(hot, dim),
         ):
             with pytest.raises(DomainError, match="MAX_CUTOFF"):
@@ -633,4 +647,4 @@ class TestCutoffCeiling:
         with pytest.raises(CutoffError, match=f"thermal tail .* at cutoff {MAX_CUTOFF} "):
             gaussian_to_fock(hot, MAX_CUTOFF)
         with pytest.raises(CutoffError, match="thermal tail"):
-            thermal_state(1e7, MAX_CUTOFF)
+            gaussian_to_fock(thermal_gaussian(1e7), MAX_CUTOFF)

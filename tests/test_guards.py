@@ -20,7 +20,7 @@ from srbosonic.fock import (
     gaussian_to_fock,
 )
 from srbosonic.private_rate import EveEnsemble, holevo_chi
-from srbosonic.qubit import QuantumCommParams, apply_channel, haar_fidelity_oracle
+from srbosonic.qubit import QuantumCommParams, apply_channel
 from srbosonic.schemes import (
     ClassicalScenario,
     DiscriminationScenario,
@@ -35,6 +35,8 @@ from srbosonic.threshold import (
     gauss_tail,
     mc_success_probability,
 )
+
+from oracles import haar_fidelity_oracle
 
 fock_module = importlib.import_module("srbosonic.fock")
 
@@ -83,6 +85,11 @@ def eve_pair():
     (lambda: apply_channel("ab", QUBIT), DomainError, "qubit state must be a 2x2 matrix"),
     (lambda: GaussianStateOneMode((0, 0), [[1, 0], [0]]), DomainError,
      "cov must be a real 2x2 matrix"),
+    # string entries, which numpy would parse as numbers
+    (lambda: apply_channel([["1", "0"], ["0", "0"]], QUBIT), DomainError,
+     "qubit state must be a 2x2 matrix of numbers"),
+    (lambda: GaussianStateOneMode((0, 0), [["0.5", "0"], ["0", "0.5"]]), DomainError,
+     "cov must be a real 2x2 matrix"),
     # complex numpy values, whose float() keeps the real part with only a warning
     (lambda: GaussianStateOneMode((0, 0), np.array([[0.5 + 1j, 0], [0, 0.5]])), DomainError,
      "cov must be a real 2x2 matrix"),
@@ -95,7 +102,8 @@ def eve_pair():
         "operator-nan", "complex-mean", "cov-shape", "cov-inf", "qubit-nan",
         "eve-state", "chi-type", "mc-float-n", "mc-bool-n", "mc-negative-seed",
         "mc-float-seed", "haar-float-n", "operator-ragged", "qubit-string", "cov-ragged",
-        "cov-numpy-complex", "mean-numpy-complex", "channel-string", "tail-nan-var"])
+        "qubit-string-entries", "cov-string-entries", "cov-numpy-complex",
+        "mean-numpy-complex", "channel-string", "tail-nan-var"])
 def test_constructor_and_validator_guards(build, exc, fragment):
     with pytest.raises(exc) as info:
         build()

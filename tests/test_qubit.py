@@ -15,10 +15,11 @@ from srbosonic.qubit import (
     average_fidelity,
     choi_state,
     critical_sigma2_quantum,
-    haar_fidelity_oracle,
     log_negativity,
     pi_probs,
 )
+
+from oracles import haar_fidelity_oracle
 
 # Frozen oracle values at x0=0.3, theta=0.31: leakage probabilities at
 # sigma2=0.04524 confirmed by numerical Gaussian integration (quad, abs
