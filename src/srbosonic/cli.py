@@ -192,7 +192,7 @@ def _read_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     mapping = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -266,6 +266,9 @@ def _resolve(args: argparse.Namespace) -> dict:
 
     optional = {"out", "vary", "grid-start", "grid-stop", "grid-step"}
     if single:
+        # a single solve reads no threshold: refused like the grid flags
+        if cfg.get("theta") is not None:
+            raise ConfigError(f"{command}: --theta is not accepted in this mode")
         optional.add("theta")
     for name in table:
         if cfg[name] is None and name not in optional:

@@ -49,7 +49,6 @@ from typing import TYPE_CHECKING
 
 from .errors import CutoffError, DomainError, _finite, _nonnegative, _prior, _sigma_grid, _store
 from .fock import (
-    MAX_CUTOFF,
     THERMAL_TAIL_TOL,
     GaussianStateOneMode,
     _spectrum_entropy,
@@ -136,10 +135,13 @@ def _base(s: ClassicalScenario | PrivateScenario) -> ClassicalScenario:
 def eve_ensemble(s: ClassicalScenario | PrivateScenario, sigma2: float) -> EveEnsemble:
     """Conditional states of the loss output for the two encoded bits.
 
-    Means are ∓√(1−η)·α_q.  The q variance is the line's other port,
+    Both variances are ``schemes._line_variance`` at the line's other
+    port, which passes 1 − η of the signal.  The q variance is
     (1 + (1−η)·expm1(−2r) + (1−c)σ²)/2: Eve gets the share 1 − c of the
     added variance that Bob's c leaves, 1 − η at the sender site and 0 at
-    the receiver site; the p variance is ((1−η)e^{2r}+η)/2.
+    the receiver site.  The p variance is the anti-squeezed quadrature, at
+    −r, with none of the added variance: (1 + (1−η)·expm1(2r))/2 =
+    ((1−η)e^{2r} + η)/2.  Means are ∓√(1−η)·α_q.
     """
     base = _base(s)
     leak = 1.0 - base.eta
@@ -147,7 +149,7 @@ def eve_ensemble(s: ClassicalScenario | PrivateScenario, sigma2: float) -> EveEn
     eve_weight = 1.0 - _noise_weight(base.noise_site, base.eta)
     var_q = _line_variance(leak, base.r, eve_weight, _nonnegative("sigma2", sigma2))
     try:
-        var_p = (leak * math.exp(2.0 * base.r) + base.eta) / 2.0
+        var_p = _line_variance(leak, -base.r, 0.0, 0.0)
     except OverflowError:
         raise DomainError(
             f"r = {base.r!r} is too large: e^(2r) in the eavesdropper's p variance overflows"
@@ -241,7 +243,8 @@ def _mixture_entropy(e: EveEnsemble) -> float:
     bound, by concavity and the mixing bound on ρ̄ = (1 − ε)·kept + ε·tail,
     the tail's entropy being at most h(p₀) + g(ν) (Audenaert's estimate,
     2007, with this in place of log(d − 1)):
-    |S(ρ̄) − H_K| ≤ h(ε) + ε·(h(p₀) + g(ν)) < 5.2e-11 bits for K ≤ MAX_CUTOFF.
+    |S(ρ̄) − H_K| ≤ h(ε) + ε·(h(p₀) + g(ν)) < 5.2e-11 bits for every
+    K ≤ 4096, so for every K this route accepts.
     """
     import numpy as np
 
@@ -250,8 +253,8 @@ def _mixture_entropy(e: EveEnsemble) -> float:
     if dim > _GRAM_MAX_CUTOFF:
         raise CutoffError(
             f"eavesdropper mixture needs thermal cutoff {dim} at n̄ = {nu - 0.5:.6g}, above "
-            f"the Gram-route limit {_GRAM_MAX_CUTOFF} (tail {THERMAL_TAIL_TOL:g}; the Fock "
-            f"engine's MAX_CUTOFF is {MAX_CUTOFF}); lower the sender-site noise or squeezing"
+            f"the Gram-route limit {_GRAM_MAX_CUTOFF} (tail {THERMAL_TAIL_TOL:g}); "
+            "lower the sender-site noise or squeezing"
         )
     delta = np.subtract(e.state1.mean, e.state0.mean)
     with np.errstate(over="ignore"):  # an x of inf fails _displacement_block's check

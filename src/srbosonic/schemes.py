@@ -179,8 +179,8 @@ class EAScenario:
 
     One bit rides in each quadrature with its own amplitude, prior, and
     threshold.  The shared resource squeezing r suppresses the noise floor
-    of both quadratures at once, with the loss-side vacuum contributing the
-    (1 + eta) weighting handled in ea_total_variance.  Every field after r
+    of both quadratures at once: ea_total_variance adds the idler's squeezed
+    half unit to the signal's line port.  Every field after r
     is keyword-only; priors default to 1/2 and thresholds to 0.
     """
 
@@ -298,15 +298,10 @@ def _noise_weight(site: str, eta: float) -> float:
 
 
 def _line_variance(eta: float, r: float, weight: float, sigma2: float) -> float:
-    # q variance at a line port that passes eta of the squeezed signal and
-    # weight of the added variance, the rest vacuum: exactly 1/2 at r = sigma2 = 0
+    # variance at a line port that passes eta of the squeezed signal and
+    # weight of the added variance, the rest vacuum: exactly 1/2 at r = sigma2 = 0.
+    # It serves either quadrature: the q quadrature at r, the anti-squeezed p at -r.
     return 0.5 * (1.0 + eta * math.expm1(-2.0 * r) + weight * sigma2)
-
-
-def _noise_floor_ea(eta: float, r: float) -> float:
-    # The resource mode squeezes signal and idler jointly, so the squeezed
-    # weight is (1 + eta) instead of eta.
-    return (1.0 - eta) + (1.0 + eta) * math.exp(-2.0 * r)
 
 
 def classical_total_variance(s: ClassicalScenario, sigma2: float) -> float:
@@ -321,9 +316,16 @@ def classical_total_variance(s: ClassicalScenario, sigma2: float) -> float:
 
 
 def ea_total_variance(s: EAScenario, sigma2: float) -> float:
-    """Per-quadrature total variance in the two-quadrature scheme."""
+    """Per-quadrature total variance in the two-quadrature scheme.
+
+    The signal's line port plus the idler's squeezed half unit,
+    _line_variance(eta, r, c, sigma^2) + e^{-2r}/2, which is
+    ((1 - eta) + (1 + eta) e^{-2r} + c sigma^2)/2 with c the receiver's
+    share of the added variance, as in the classical scheme.
+    """
     weight = _noise_weight(s.noise_site, s.eta)
-    return 0.5 * (_noise_floor_ea(s.eta, s.r) + weight * _nonnegative("sigma2", sigma2))
+    variance = _line_variance(s.eta, s.r, weight, _nonnegative("sigma2", sigma2))
+    return variance + 0.5 * math.exp(-2.0 * s.r)
 
 
 # ---------------------------------------------------------------------------
@@ -664,13 +666,13 @@ def forbidden_rectangle(s: EAScenario) -> ForbiddenRectangle:
     """Per-quadrature forbidden intervals for the two-quadrature scheme.
 
     Each quadrature solves the same boundary equation as the classical
-    scheme with the entangled noise floor 1 - eta + (1 + eta) e^{-2r} in
-    place of the classical one.  The joint success probability responds
-    non-monotonically to (sigma_q, sigma_p) noise exactly when at least one
-    threshold is outside its interval.
+    scheme with the entangled noise floor 2 ea_total_variance(s, 0) =
+    1 - eta + (1 + eta) e^{-2r} in place of the classical one.  The joint
+    success probability responds non-monotonically to (sigma_q, sigma_p)
+    noise exactly when at least one threshold is outside its interval.
     """
     root_eta = math.sqrt(s.eta)
-    k = _noise_floor_ea(s.eta, s.r)
+    k = 2.0 * ea_total_variance(s, 0.0)
     q_int = _symmetric_interval(root_eta * s.alpha_q, k, s.prior_q)
     p_int = _symmetric_interval(root_eta * s.alpha_p, k, s.prior_p)
     return ForbiddenRectangle(q_interval=q_int, p_interval=p_int)

@@ -13,9 +13,11 @@ composition (loss, squeezing, where the noise is injected) happens in
 :mod:`srbosonic.schemes`; this module is deliberately agnostic about it.
 
 ``BinaryThresholdSpec`` checks its fields once, at construction.  The core
-below it, ``_channel_probs``, maps plain floats to (p00, p11), checking only
-that both variances are positive; it holds the one orientation rule, for
-``build_channel`` and the schemes' per-point success functions alike.
+below it, ``_channel_probs``, maps plain floats to (p00, p11); it holds the
+one orientation rule, for ``build_channel`` and the schemes' per-point
+success functions alike.  ``gauss_tail`` is the one variance gate: each
+tail it evaluates refuses a variance that is zero, negative or NaN with a
+``DomainError``, so a channel with such a variance is never built.
 """
 
 from __future__ import annotations
@@ -130,11 +132,6 @@ def _channel_probs(
     mean0: float, var0: float, mean1: float, var1: float, theta: float, orientation: str
 ) -> tuple:
     # Y = 1 at or above theta for "above", at or below it for "below"
-    if var0 <= 0.0 or var1 <= 0.0:
-        raise DomainError(
-            "build_channel requires strictly positive variances; "
-            "evaluate zero-noise limits explicitly in the calling scheme"
-        )
     tail0 = gauss_tail(theta, mean0, var0)
     tail1 = gauss_tail(theta, mean1, var1)
     if orientation == ORIENT_ABOVE:

@@ -387,6 +387,14 @@ class TestConfigFile:
         code, _, _ = run_cli(["sweep", "--config", str(tmp_path / "absent.cfg")])
         assert code == 2
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"eta = 0.8\n\xff\n")
+        code, out, err = run_cli(["sweep", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config file {path}: ")
+        assert "can't decode byte 0xff" in err
+
 
 class TestDefaults:
     def test_scenario_field_defaults_are_the_flag_defaults(self):
@@ -564,8 +572,14 @@ class TestExitCodes:
         (TestMcCheck.ARGS[:7] + ["--n", "1e4"] + TestMcCheck.ARGS[9:], None, 2,
          "error: n: expected an integer, got '1e4'\n"),
         (SWEEP_ARGS + ["--seed", "abc"], None, 2, "error: seed: expected an integer, got 'abc'\n"),
+        # a single solve reads no threshold: a theta is refused, not ignored
+        (TestDiscriminate.ARGS + ["--interval", "--theta", "2"], None, 2,
+         "error: discriminate: --theta is not accepted in this mode\n"),
+        (TestDiscriminate.ARGS + ["--interval"], "theta = 2\n", 2,
+         "error: discriminate: --theta is not accepted in this mode\n"),
     ], ids=["inf", "empty-list", "config-interval-false", "config-interval-maybe",
-            "no-grid", "zero-step", "bad-site", "float-n", "text-seed"])
+            "no-grid", "zero-step", "bad-site", "float-n", "text-seed", "interval-theta-flag",
+            "interval-theta-config"])
     def test_value_paths(self, argv, config, want_code, fragment, tmp_path):
         if config is not None:
             path = tmp_path / "run.cfg"

@@ -26,12 +26,14 @@ from srbosonic.schemes import (
     DiscriminationScenario,
     ForbiddenInterval,
     critical_sigma2_classical,
+    success_classical,
     sweep_success,
 )
 from srbosonic.threshold import (
     BinaryThresholdSpec,
     McEstimate,
     ThresholdChannel,
+    build_channel,
     gauss_tail,
     mc_success_probability,
 )
@@ -98,12 +100,19 @@ def eve_pair():
     # scalars
     (lambda: ThresholdChannel("a", 0.5), DomainError, "p00 must be real"),
     (lambda: gauss_tail(0.0, 0.0, math.nan), DomainError, "var must be positive, got nan"),
+    # gauss_tail is the one variance gate: a channel or a curve point reaches it
+    (lambda: build_channel(BinaryThresholdSpec(-1.0, 1.0, 0.0, 0.5, theta=0.0, prior0=0.5)),
+     DomainError, "var must be positive, got 0.0"),
+    # at eta = 1 the squeezed variance e^(-800)/2 underflows to 0
+    (lambda: success_classical(ClassicalScenario(eta=1.0, alpha_q=1.0, r=400.0), 0.0, 0.0),
+     DomainError, "var must be positive, got 0.0"),
 ], ids=["interval-order", "interval-residual", "mc-samples", "mc-std-error", "operator-shape",
         "operator-nan", "complex-mean", "cov-shape", "cov-inf", "qubit-nan",
         "eve-state", "chi-type", "mc-float-n", "mc-bool-n", "mc-negative-seed",
         "mc-float-seed", "haar-float-n", "operator-ragged", "qubit-string", "cov-ragged",
         "qubit-string-entries", "cov-string-entries", "cov-numpy-complex",
-        "mean-numpy-complex", "channel-string", "tail-nan-var"])
+        "mean-numpy-complex", "channel-string", "tail-nan-var", "channel-zero-var",
+        "curve-zero-var"])
 def test_constructor_and_validator_guards(build, exc, fragment):
     with pytest.raises(exc) as info:
         build()

@@ -586,7 +586,9 @@ class TestGramRoute:
             holevo_chi(e)
         message = str(info.value)
         assert "cutoff" in message
-        assert str(MAX_CUTOFF) in message
+        # chi builds no Fock density, so it names the Gram route's limit, not the engine's
+        assert f"limit {private_rate_module._GRAM_MAX_CUTOFF}" in message
+        assert str(MAX_CUTOFF) not in message
         assert "n̄ = 223" in message
 
     def test_gram_limit_below_max_cutoff(self, monkeypatch):
