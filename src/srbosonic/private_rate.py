@@ -137,11 +137,11 @@ def eve_ensemble(s: ClassicalScenario | PrivateScenario, sigma2: float) -> EveEn
 
     Both variances are ``schemes._line_variance`` at the line's other
     port, which passes 1 − η of the signal.  The q variance is
-    (1 + (1−η)·expm1(−2r) + (1−c)σ²)/2: Eve gets the share 1 − c of the
+    (η + (1−η)·e^{−2r} + (1−c)σ²)/2: Eve gets the share 1 − c of the
     added variance that Bob's c leaves, 1 − η at the sender site and 0 at
     the receiver site.  The p variance is the anti-squeezed quadrature, at
-    −r, with none of the added variance: (1 + (1−η)·expm1(2r))/2 =
-    ((1−η)e^{2r} + η)/2.  Means are ∓√(1−η)·α_q.
+    −r, with none of the added variance: (η + (1−η)·e^{2r})/2.  Means are
+    ∓√(1−η)·α_q.
     """
     base = _base(s)
     leak = 1.0 - base.eta

@@ -47,9 +47,9 @@ or below 0 means that no threshold beyond a0 is helped at sigma^2 = 0+,
 and raises SolverError naming the peak; otherwise the walk goes down
 from the peak to the first zero.  Discrimination takes gap = alpha (eta0
 - eta1) / (sqrt(eta0) + sqrt(eta1)), free of the cancellation in a0 -
-a1, and _line_variance's variances (1 + eta_x expm1(-2r) + c_x sigma^2)
-/ 2, exactly 1/2 at r = sigma^2 = 0, with dv formed apart; no log prior
-ratio rounds p0 through 1 - p0.  A weak signal's far root, near |theta|
+a1, and _line_variance's variances ((1 - eta_x) + eta_x e^{-2r} + c_x
+sigma^2) / 2, exactly 1/2 at r = sigma^2 = 0, with dv formed apart; no
+log prior ratio rounds p0 through 1 - p0.  A weak signal's far root, near |theta|
 ~ 1 / alpha_q, solves down to alpha_q ~ 5e-309; a strong signal's root
 near u = -gap^2 / K (v = K / 2) rounds to the level itself.  Each
 residual field is the theta width of u's final bracket, |theta(u + w) -
@@ -301,14 +301,16 @@ def _line_variance(eta: float, r: float, weight: float, sigma2: float) -> float:
     # variance at a line port that passes eta of the squeezed signal and
     # weight of the added variance, the rest vacuum: exactly 1/2 at r = sigma2 = 0.
     # It serves either quadrature: the q quadrature at r, the anti-squeezed p at -r.
-    return 0.5 * (1.0 + eta * math.expm1(-2.0 * r) + weight * sigma2)
+    # The vacuum share 1 - eta and the signal share never cancel, so at eta = 1
+    # the variance keeps its e^{-2r}/2 however small.
+    return 0.5 * ((1.0 - eta) + eta * math.exp(-2.0 * r) + weight * sigma2)
 
 
 def classical_total_variance(s: ClassicalScenario, sigma2: float) -> float:
     """Total variance of the measured quadrature in the classical scheme.
 
-    Returns (1 + eta expm1(-2r) + c sigma^2)/2 with c the receiver's share
-    of the added variance: eta for sender-side noise, which the line
+    Returns ((1 - eta) + eta e^{-2r} + c sigma^2)/2 with c the receiver's
+    share of the added variance: eta for sender-side noise, which the line
     attenuates, and 1 for receiver-side noise, which enters unattenuated.
     """
     weight = _noise_weight(s.noise_site, s.eta)

@@ -157,6 +157,26 @@ class TestEveEnsemble:
         assert abs(e.state0.cov[0, 0] - want_qq) <= 1e-15
         assert abs(e.state0.cov[1, 1] - want_pp) <= 1e-15
 
+    def test_variances_match_decimal_oracle(self):
+        # Eve's port passes leak = 1 - eta of the signal: q at r with her share
+        # (1 - c) sigma2 of the added variance, p at -r with none of it
+        rng = random.Random(34)
+        for _ in range(400):
+            eta = rng.choice([1e-3 * rng.random(), 1.0 - 1e-3 * rng.random(), rng.random()])
+            r = rng.choice([3.0, 25.0]) * rng.random()
+            sigma2 = rng.choice([0.0, 5.0 * rng.random()])
+            site = rng.choice([SITE_SENDER, SITE_RECEIVER])
+            cov = eve_ensemble(fig_base(site=site, eta=eta, r=r), sigma2).state0.cov
+            with localcontext() as ctx:
+                ctx.prec = 60
+                leak = Decimal(1.0 - eta)
+                share = (1 - Decimal(eta)) * Decimal(sigma2) if site == SITE_SENDER else 0
+                squeeze = (-2 * Decimal(r)).exp()
+                want_q = ((1 - leak) + leak * squeeze + share) / 2
+                want_p = ((1 - leak) + leak / squeeze) / 2
+            for got, want in ((cov[0, 0], want_q), (cov[1, 1], want_p)):
+                assert abs(Decimal(got) - want) <= Decimal(4 * 2.0**-53) * want, (got, want)
+
     def test_theta_free_input(self):
         e = eve_ensemble(fig_base(), 2.0)
         want = eve_ensemble(PrivateScenario(base=fig_base(), theta=0.0), 2.0)

@@ -117,6 +117,19 @@ def assert_boundary_close(got, want, near):
     assert abs(Decimal(got) - want) <= Decimal("1e-13") * scale, (got, want)
 
 
+def decimal_port(eta, r, weight, sigma2):
+    """((1 - eta) + eta e^{-2r} + weight sigma2) / 2 at 60 digits from the float inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e = Decimal(eta)
+        signal = e * (-2 * Decimal(r)).exp()
+        return ((1 - e) + signal + Decimal(weight) * Decimal(sigma2)) / 2
+
+
+def assert_within_ulps(got, want, ulps=4):
+    assert abs(Decimal(got) - want) <= Decimal(ulps * 2.0**-53) * abs(want), (got, want)
+
+
 def assert_matches_oracle(interval, m, k, prior0):
     # lo sits beyond -m (prior0), hi beyond +m (prior 1 - prior0)
     p0 = Decimal(prior0)
@@ -154,6 +167,26 @@ class TestVarianceComposition:
     def test_rejects_negative_sigma2(self):
         with pytest.raises(DomainError):
             classical_total_variance(fig_scenario(), -0.1)
+
+    def test_ports_match_decimal_oracle(self):
+        # eta = 1 leaves no vacuum share: the variance is e^{-2r}/2 alone
+        rng = random.Random(34)
+        draws = [(1.0, 10.0, 0.0, "receiver"), (1.0, 20.0, 0.0, "sender")]
+        for _ in range(400):
+            eta = rng.choice([1.0, 1.0 - 1e-3 * rng.random(), rng.random() or 0.5])
+            r = rng.choice([3.0, 25.0]) * rng.random()
+            sigma2 = rng.choice([0.0, 5.0 * rng.random()])
+            draws.append((eta, r, sigma2, rng.choice(["sender", "receiver"])))
+        for eta, r, sigma2, site in draws:
+            c = eta if site == "sender" else 1.0
+            want = decimal_port(eta, r, c, sigma2)
+            s = fig_scenario(eta=eta, r=r, noise_site=site)
+            assert_within_ulps(classical_total_variance(s, sigma2), want)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                want_ea = want + (-2 * Decimal(r)).exp() / 2
+            s = ea_scenario(eta=eta, r=r, noise_site=site)
+            assert_within_ulps(ea_total_variance(s, sigma2), want_ea)
 
 
 class TestSuccessClassical:
