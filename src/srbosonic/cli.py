@@ -118,55 +118,42 @@ def _parse_str(text: str) -> str:
     return text.strip()
 
 
-# scenario type -> its (field, flag) pairs in field order: a field is the
-# flag of the same name with dashes, except noise_site, which is --site
-_SCENARIO_FLAGS = {
-    cls: tuple(
-        (f.name, "site" if f.name == "noise_site" else f.name.replace("_", "-"))
-        for f in dataclasses.fields(cls)
-    )
-    for cls in (ClassicalScenario, EAScenario, DiscriminationScenario)
-}
+def _flag(field: str) -> str:
+    # a scenario field's flag: the field with dashes, except noise_site, which is --site
+    return "site" if field == "noise_site" else field.replace("_", "-")
 
 
-def _scenario_table(cls) -> tuple:
-    return tuple(
-        (flag, _parse_str if flag == "site" else _parse_float) for _, flag in _SCENARIO_FLAGS[cls]
-    )
+def _scenario_table(cls, **defaults) -> tuple:
+    """One flag row per field of cls, in field order.
+
+    Each row's default is the field's own (None where it has none) unless
+    a keyword, named by the flag, overrides it.
+    """
+    rows = []
+    for f in dataclasses.fields(cls):
+        flag = _flag(f.name)
+        default = defaults.get(flag, None if f.default is dataclasses.MISSING else f.default)
+        rows.append((flag, _parse_str if flag == "site" else _parse_float, default))
+    return tuple(rows)
 
 
 def _scenario(cls, cfg: dict):
-    return cls(**{name: cfg[flag] for name, flag in _SCENARIO_FLAGS[cls]})
+    return cls(**{f.name: cfg[_flag(f.name)] for f in dataclasses.fields(cls)})
 
 
-# flag name -> converter; single source of truth for the parser, the
-# config-file key set, and the resolver
+# flag rows (name, converter, default), the default None where the flag has
+# none: the one source for the parser, the config-file key set and the resolver
 _COMMON = (
-    ("out", _parse_str),
-    ("format", _parse_str),
-    ("seed", _parse_int),
-    ("parallel", _parse_int),
+    ("out", _parse_str, None),
+    ("format", _parse_str, "csv"),
+    ("seed", _parse_int, 0),
+    ("parallel", _parse_int, 1),
 )
 _CLASSICAL = _scenario_table(ClassicalScenario)
-_GRID = tuple((name, _parse_float) for name in ("grid-start", "grid-stop", "grid-step"))
-_THETAS = (("theta", _parse_float_list),)
+_GRID = tuple((name, _parse_float, None) for name in ("grid-start", "grid-stop", "grid-step"))
+_THETAS = (("theta", _parse_float_list, None),)
 _CURVES = _CLASSICAL + _THETAS + _GRID
-_QUANTUM = (("x0", _parse_float),) + _THETAS + _GRID
-
-_DEFAULTS = {
-    "format": "csv",
-    "seed": 0,
-    "parallel": 1,
-    "interval": False,
-    "n": 1000000,
-    # the scenario fields' own defaults; the types agree where they share a field
-    **{
-        flag: f.default
-        for cls, pairs in _SCENARIO_FLAGS.items()
-        for f, (_, flag) in zip(dataclasses.fields(cls), pairs)
-        if f.default is not dataclasses.MISSING
-    },
-}
+_QUANTUM = (("x0", _parse_float, None),) + _THETAS + _GRID
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -175,10 +162,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Threshold-detection noise benefits: sweeps, boundaries, rates.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, (flags, _, _) in _COMMANDS.items():
+    for command, (flags, _) in _COMMANDS.items():
         sub = subparsers.add_parser(command)
         sub.add_argument("--config", default=None)
-        for name, converter in flags + _COMMON:
+        for name, converter, _ in flags + _COMMON:
             if converter is _parse_bool:
                 sub.add_argument(f"--{name}", action="store_const", const="true", default=None)
             else:
@@ -208,8 +195,7 @@ def _read_config_file(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     command = args.command
-    flags, _, command_defaults = _COMMANDS[command]
-    table = dict(flags + _COMMON)
+    table = {name: row for name, *row in _COMMANDS[command][0] + _COMMON}
     raw = {}
     if args.config is not None:
         for key, value in _read_config_file(args.config).items():
@@ -227,11 +213,10 @@ def _resolve(args: argparse.Namespace) -> dict:
         if flag_value is not None:
             raw[name] = flag_value
 
-    defaults = {**_DEFAULTS, **command_defaults}
     cfg = {"command": command}
-    for name, converter in table.items():
+    for name, (converter, default) in table.items():
         try:
-            cfg[name] = converter(raw[name]) if name in raw else defaults.get(name)
+            cfg[name] = converter(raw[name]) if name in raw else default
         except ConfigError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
 
@@ -401,27 +386,27 @@ def _run_mc_check(cfg: dict):
     return "sigma", cfg["grid"], _columns(("analytic", "estimate", "std_error"), rows)
 
 
-# command -> (its flags in parser order, its runner, the defaults it sets
-# apart from the scenario fields'); each runner reads its layer function
-# when it runs, so a rebound name takes effect
+# command -> (its flag rows in parser order, its runner); each runner reads
+# its layer function when it runs, so a rebound name takes effect
 _COMMANDS = {
-    "sweep": (_CURVES, _run_sweep, {}),
-    "interval": (_CLASSICAL + (("vary", _parse_str),) + _GRID, _run_interval, {}),
-    "rectangle": (_scenario_table(EAScenario), _run_rectangle, {}),
+    "sweep": (_CURVES, _run_sweep),
+    "interval": (_CLASSICAL + (("vary", _parse_str, None),) + _GRID, _run_interval),
+    "rectangle": (_scenario_table(EAScenario), _run_rectangle),
     "discriminate": (
-        _scenario_table(DiscriminationScenario) + _THETAS + (("interval", _parse_bool),) + _GRID,
+        _scenario_table(DiscriminationScenario) + _THETAS + (("interval", _parse_bool, False),)
+        + _GRID,
         _run_discriminate,
-        {},
     ),
-    "fidelity": (_QUANTUM, lambda cfg: _run_quantum(cfg, average_fidelity), {}),
-    "negativity": (_QUANTUM, lambda cfg: _run_quantum(cfg, _choi_log_negativity), {}),
-    "private": (_CURVES, _run_private, {}),
+    "fidelity": (_QUANTUM, lambda cfg: _run_quantum(cfg, average_fidelity)),
+    "negativity": (_QUANTUM, lambda cfg: _run_quantum(cfg, _choi_log_negativity)),
+    "private": (_CURVES, _run_private),
     # the conjecture is about sender-site noise, so that is its default
-    "probe-conjecture": (_CURVES, _run_probe, {"site": SITE_SENDER}),
+    "probe-conjecture": (
+        _scenario_table(ClassicalScenario, site=SITE_SENDER) + _THETAS + _GRID, _run_probe
+    ),
     "mc-check": (
-        _CLASSICAL + (("theta", _parse_float), ("n", _parse_int)) + _GRID,
+        _CLASSICAL + (("theta", _parse_float, None), ("n", _parse_int, 10**6)) + _GRID,
         _run_mc_check,
-        {},
     ),
 }
 
@@ -464,7 +449,7 @@ def _render(cfg: dict, x_name, x_values, series) -> str:
     # science flags only: a command's flags hold none of the _COMMON output plumbing
     parameters = {
         name: list(cfg[name]) if isinstance(cfg[name], tuple) else cfg[name]
-        for name, _ in _COMMANDS[cfg["command"]][0]
+        for name, _, _ in _COMMANDS[cfg["command"]][0]
         if cfg[name] is not None
     }
     meta = {

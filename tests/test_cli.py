@@ -398,14 +398,27 @@ class TestConfigFile:
 
 class TestDefaults:
     def test_scenario_field_defaults_are_the_flag_defaults(self):
-        # so scenario types that share a field must agree on its default
+        # each scenario flag row defaults to its own command's type's field
+        # default (None where the field has none); probe-conjecture alone
+        # moves the site to the sender
+        types = {"rectangle": EAScenario, "discriminate": DiscriminationScenario}
         seen = set()
-        for cls, pairs in cli._SCENARIO_FLAGS.items():
-            for field, (_, flag) in zip(dataclasses.fields(cls), pairs):
-                if field.default is not dataclasses.MISSING:
-                    assert cli._DEFAULTS[flag] == field.default
-                    seen.add(flag)
-        assert seen == {"r", "prior0", "site", "prior-q", "prior-p", "theta-q", "theta-p"}
+        for command, (flags, _) in cli._COMMANDS.items():
+            if command in ("fidelity", "negativity"):
+                continue
+            fields = {
+                "site" if f.name == "noise_site" else f.name.replace("_", "-"): f.default
+                for f in dataclasses.fields(types.get(command, ClassicalScenario))
+            }
+            for flag, _, default in flags:
+                if flag not in fields:
+                    continue
+                want = None if fields[flag] is dataclasses.MISSING else fields[flag]
+                if (command, flag) == ("probe-conjecture", "site"):
+                    want = "sender"
+                assert default == want, (command, flag)
+                seen.add(flag)
+        assert seen >= {"eta", "alpha-q", "r", "prior0", "site", "eta0", "prior-q", "alpha-p"}
 
     def test_omitted_flags_take_the_scenario_defaults(self):
         code, out, _ = run_cli([
