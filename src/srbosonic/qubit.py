@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, NoCriticalPointError, _finite, _matrix, _nonnegative, _store
+from .schemes import _two_level_sigma2
 
 if TYPE_CHECKING:  # annotations only; numpy loads where it is used
     import numpy as np
@@ -134,15 +135,18 @@ def critical_sigma2_quantum(p: QuantumCommParams) -> float:
     """Noise variance maximizing the average fidelity, for |theta| > x0.
 
     Evaluates 2 theta x0 / ln((theta + x0)/(theta - x0)), which is even in
-    theta and positive on its domain.  Thresholds with |theta| <= x0 admit
-    no critical point (the fidelity is monotone in the noise) and raise
-    NoCriticalPointError.
+    theta and positive on its domain, through the classical two-level form
+    of ``schemes``, whose log keeps its digits where x0 << |theta|.
+    Thresholds with |theta| <= x0 admit no critical point (the fidelity is
+    monotone in the noise) and raise NoCriticalPointError.
     """
     if abs(p.theta) <= p.x0:
         raise NoCriticalPointError(
             f"threshold {p.theta!r} lies in [-x0, x0]: fidelity is monotone in noise"
         )
-    return 2.0 * p.theta * p.x0 / math.log((p.theta + p.x0) / (p.theta - p.x0))
+    # the classical closed form at levels -+x0, prior 1/2 and no floor, halved
+    # for this module's full-variance convention
+    return 0.5 * _two_level_sigma2(abs(p.theta), -p.x0, p.x0, 2.0 * p.x0, 0.5, 0.0)
 
 
 def _choi_entries(p: QuantumCommParams) -> tuple:

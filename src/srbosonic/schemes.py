@@ -51,7 +51,9 @@ a1, and _line_variance's variances ((1 - eta_x) + eta_x e^{-2r} + c_x
 sigma^2) / 2, exactly 1/2 at r = sigma^2 = 0, with dv formed apart; no
 log prior ratio rounds p0 through 1 - p0.  A weak signal's far root, near |theta|
 ~ 1 / alpha_q, solves down to alpha_q ~ 5e-309; a strong signal's root
-near u = -gap^2 / K (v = K / 2) rounds to the level itself.  Each
+near u = -gap^2 / K (v = K / 2) rounds to the level itself, and where g
+is still positive at the floor u = -1e300 (gap^2 / K beyond 1e300, from
+alpha_q ~ 6e149 at eta 0.8) the boundary is the level, with width 0.  Each
 residual field is the theta width of u's final bracket, |theta(u + w) -
 theta(u - w)| with w = max(0.5e-14, ulp(u)): about 2e-14 |theta - level|
 plus the rounding of theta, and 0 where both ends of the bracket round
@@ -60,7 +62,8 @@ to theta.
 With one noise floor K = 2 _line_variance(eta, r, 0, 0) and one weight
 c, the critical variance has the closed form sigma*^2 = ((a1 - a0) (2
 theta - (a0 + a1)) / ln R - K) / c, R = p0 (theta - a0) / (p1 (theta -
-a1)).  Discrimination with r > 0 or c0 != c1 (the sender site) has none:
+a1)), with ln R = ln(p0 / p1) + log1p((a1 - a0) / (theta - a1)), so a
+threshold far from weak levels, where R rounds to 1, keeps its digits.  Discrimination with r > 0 or c0 != c1 (the sender site) has none:
 its critical variance is -1.0 wherever g(theta, 0) <= 0, and otherwise
 the zero of g(theta, sigma^2) in sigma^2, bisected to float resolution;
 where g stays positive up to the search bound and its sigma^2 -> inf
@@ -447,16 +450,19 @@ def _two_level_sigma2(
     # sigma*^2 = (l1 - l0) (2 theta - (l0 + l1)) / ln R - k, with R = p0 (theta
     # - l0) / (p1 (theta - l1)), for levels l0 (prior p0) and l1 that share the
     # noise floor k.  spread = l1 - l0 is passed in, so that discrimination
-    # can use its cancellation-free form.
-    num, den = prior0 * (theta - l0), (1.0 - prior0) * (theta - l1)
-    if den == 0.0 or num == 0.0:
+    # can use its cancellation-free form.  ln R = ln(p0 / p1) + log1p(spread /
+    # (theta - l1)) keeps its digits where theta lies far from the levels and R
+    # rounds toward 1; close beyond l0, where 1 + spread / (theta - l1)
+    # cancels, the offsets' quotient is taken whole.
+    d0, d1 = theta - l0, theta - l1
+    if d0 == 0.0 or d1 == 0.0:
         raise NoCriticalPointError("threshold at a signal level")
-    ratio = num / den
-    if ratio <= 0.0:
+    if (d0 > 0.0) != (d1 > 0.0):
         raise NoCriticalPointError(
             "threshold between the signal levels: no stationary point"
         )
-    log_ratio = math.log(ratio)
+    x = spread / d1
+    log_ratio = _log_odds(prior0) + (math.log1p(x) if x > -0.5 else math.log(d0 / d1))
     if log_ratio == 0.0:
         raise NoCriticalPointError("degenerate threshold: log ratio vanishes")
     return spread * (2.0 * theta - (l0 + l1)) / log_ratio - k
@@ -608,7 +614,8 @@ def _boundary_root(
 
     g of the module's solver notes rises in u, up to a peak that only dv < 0
     brings into range; the boundary is its first zero.  A root below float
-    resolution returns near itself.
+    resolution returns near itself, and so does one below the search floor,
+    where g is still positive, with a width of 0.
     """
     g = _slope_sign(gap, lw, v_n, v_f, dv)
     u = _U_START
@@ -626,6 +633,8 @@ def _boundary_root(
                 f"no threshold beyond signal level {near!r} is helped by noise at sigma^2 = 0+: "
                 f"the slope sign peaks at {peak!r} <= 0, at theta = {near + side * math.exp(u)!r}"
             )
+    if g(_U_FLOOR) > 0.0:  # the root lies below the floor, where theta rounds to near
+        return near, 0.0
     u = _rising_root(g, u)
     w = max(0.5e-14, math.ulp(u))
     inner, outer = (near + side * math.exp(x) for x in (u - w, min(u + w, _U_CEIL)))

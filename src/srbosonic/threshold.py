@@ -121,11 +121,16 @@ def gauss_tail(x: float, mean: float, var: float) -> float:
     """Upper tail probability P(G >= x) for G ~ Normal(mean, var).
 
     Equals (1 - erf((x - mean) / sqrt(2 var))) / 2; evaluated through
-    erfc for full accuracy in the far tail.
+    erfc for full accuracy in the far tail.  A variance that is not
+    positive, or a NaN (x - mean) / sqrt(2 var) (a NaN x or mean, or x =
+    mean = +-inf), raises DomainError.
     """
     if not var > 0:
         raise DomainError(f"var must be positive, got {var!r}")
-    return 0.5 * math.erfc((x - mean) / math.sqrt(2.0 * var))
+    z = (x - mean) / math.sqrt(2.0 * var)
+    if z != z:  # a NaN x or mean, or x = mean = +-inf
+        raise DomainError(f"tail of x = {x!r} about mean = {mean!r} is undefined")
+    return 0.5 * math.erfc(z)
 
 
 def _channel_probs(

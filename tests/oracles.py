@@ -3,11 +3,13 @@
 No command and no library module uses these.  They check the package from
 outside it: the Fock cutoff ladder finds the first cutoff at which
 ``gaussian_to_fock`` passes its gates, so a test can compare that build's
-entropy with the closed form, and the Haar Monte Carlo estimate checks the
-closed-form qubit fidelity.
+entropy with the closed form, the Haar Monte Carlo estimate checks the
+closed-form qubit fidelity, and a 60-digit ``Decimal`` evaluation checks the
+closed-form critical variances.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 from srbosonic.errors import CutoffError, _count
 from srbosonic.fock import MAX_CUTOFF, FockDensity, GaussianStateOneMode, gaussian_to_fock
@@ -92,3 +94,23 @@ def haar_fidelity_oracle(p: QuantumCommParams, n: int, seed: int) -> McEstimate:
         m2 += float(np.square(f - block_mean).sum()) + delta * delta * start * size / total
     se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
     return McEstimate(estimate=mean, std_error=se, n_samples=n, seed=seed)
+
+
+def two_level_sigma2_oracle(theta: float, l0: float, l1: float, prior0: float, k: float) -> tuple:
+    """(sigma*^2, its scale) of two levels sharing the noise floor k, at 60 digits.
+
+    sigma*^2 = A / ln R - k with A = (l1 - l0)(2 theta - (l0 + l1)) and
+    R = p0 (theta - l0) / (p1 (theta - l1)), from the exact values of the
+    float inputs.  The scale |A / ln R| + k bounds what rounding the
+    inputs of the final subtraction can cost, so an error is measured
+    against it.  Both are Decimals.  R - 1 can lie far below 60 digits (at
+    levels -+1e-300), so ln((theta - l0) / (theta - l1)) = ln(1 + x) takes
+    its series x - x^2/2 + x^3/3 where |x| < 1e-25.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t, l0, l1, p0, k = map(Decimal, (theta, l0, l1, prior0, k))
+        x = (l1 - l0) / (t - l1)
+        log1p = x - x * x / 2 + x**3 / 3 if abs(x) < Decimal("1e-25") else (1 + x).ln()
+        a = (l1 - l0) * (2 * t - (l0 + l1)) / ((p0 / (1 - p0)).ln() + log1p)
+        return a - k, abs(a) + k

@@ -100,6 +100,9 @@ def eve_pair():
     # scalars
     (lambda: ThresholdChannel("a", 0.5), DomainError, "p00 must be real"),
     (lambda: gauss_tail(0.0, 0.0, math.nan), DomainError, "var must be positive, got nan"),
+    # a NaN standardized offset, not a silent NaN tail
+    (lambda: gauss_tail(math.nan, 0.0, 1.0), DomainError, "tail of x = nan about mean = 0.0"),
+    (lambda: gauss_tail(0.0, math.nan, 1.0), DomainError, "tail of x = 0.0 about mean = nan"),
     # gauss_tail is the one variance gate: a channel or a curve point reaches it
     (lambda: build_channel(BinaryThresholdSpec(-1.0, 1.0, 0.0, 0.5, theta=0.0, prior0=0.5)),
      DomainError, "var must be positive, got 0.0"),
@@ -111,8 +114,8 @@ def eve_pair():
         "eve-state", "chi-type", "mc-float-n", "mc-bool-n", "mc-negative-seed",
         "mc-float-seed", "haar-float-n", "operator-ragged", "qubit-string", "cov-ragged",
         "qubit-string-entries", "cov-string-entries", "cov-numpy-complex",
-        "mean-numpy-complex", "channel-string", "tail-nan-var", "channel-zero-var",
-        "curve-zero-var"])
+        "mean-numpy-complex", "channel-string", "tail-nan-var", "tail-nan-x", "tail-nan-mean",
+        "channel-zero-var", "curve-zero-var"])
 def test_constructor_and_validator_guards(build, exc, fragment):
     with pytest.raises(exc) as info:
         build()

@@ -1,7 +1,9 @@
 """Tests for the qubit-over-bosonic-mode channel."""
 
 import math
+import random
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from srbosonic.qubit import (
     pi_probs,
 )
 
-from oracles import haar_fidelity_oracle
+from oracles import haar_fidelity_oracle, two_level_sigma2_oracle
 
 # Frozen oracle values at x0=0.3, theta=0.31: leakage probabilities at
 # sigma2=0.04524 confirmed by numerical Gaussian integration (quad, abs
@@ -197,6 +199,26 @@ class TestCriticalSigma2:
         for theta in (0.0, 0.15, -0.29, 0.3, -0.3):
             with pytest.raises(NoCriticalPointError):
                 critical_sigma2_quantum(params(theta=theta))
+
+    @staticmethod
+    def assert_matches_decimal(x0, theta):
+        # half the classical closed form at levels -+x0, prior 1/2, no floor
+        want, scale = two_level_sigma2_oracle(abs(theta), -x0, x0, 0.5, 0.0)
+        got = Decimal(critical_sigma2_quantum(QuantumCommParams(x0=x0, theta=theta, sigma2=0.0)))
+        assert abs(2 * got - want) <= Decimal(1e-12) * scale, (x0, theta, got)
+
+    @pytest.mark.parametrize("x0", [1e-8, 1e-12, 1e-16, 1e-300])
+    def test_weak_encodings_match_decimal(self, x0):
+        # ln((theta + x0) / (theta - x0)) rounds toward 0 here: at x0 = 1e-16
+        # its direct log gave 0.9007 for 1.0, and at 1e-300 a division by zero
+        self.assert_matches_decimal(x0, 1.0)
+
+    def test_seeded_draws_match_decimal(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            x0 = 10.0 ** rng.uniform(-16, 1)
+            theta = rng.choice((-1, 1)) * x0 * (1.0 + 10.0 ** rng.uniform(-12, 6))
+            self.assert_matches_decimal(x0, theta)
 
 
 class TestChoiState:

@@ -36,6 +36,8 @@ from srbosonic.threshold import (
     success_probability,
 )
 
+from oracles import two_level_sigma2_oracle
+
 # Frozen oracle values.  The critical variances come from a golden-section
 # maximization of the success curve itself (independent grid+refine search,
 # agreement ~3e-8); the interval boundaries from an independent brentq solve
@@ -309,6 +311,76 @@ class TestCriticalSigma2Classical:
     def test_zero_amplitude_raises(self):
         with pytest.raises(NoCriticalPointError):
             critical_sigma2_classical(fig_scenario(alpha_q=0.0), 1.5)
+
+
+def assert_sigma2_digits(got, oracle, tol=1e-12):
+    want, scale = oracle
+    assert abs(Decimal(got) - want) <= Decimal(tol) * scale, (got, want)
+
+
+def sigma2_draws(seed, n):
+    """n (scenario, theta) pairs of each closed form: classical at either site,
+    discrimination at the receiver with r = 0; prior 1/2 in half of them, and
+    theta from 1e-12 to 1e6 level spreads beyond either level."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        prior0 = rng.choice((0.5, rng.uniform(0.05, 0.95)))
+        alpha_q = 10.0 ** rng.uniform(-16, 1)
+        offset = 10.0 ** rng.uniform(-12, 6)
+        eta = rng.uniform(0.05, 1.0)
+        site = rng.choice(("sender", "receiver"))
+        s = ClassicalScenario(eta=eta, alpha_q=alpha_q, r=rng.uniform(0.0, 2.0), prior0=prior0,
+                              noise_site=site)
+        yield s, rng.choice((-1, 1)) * math.sqrt(eta) * alpha_q * (1.0 + offset)
+        eta1 = rng.uniform(0.05, 0.9)
+        d = DiscriminationScenario(eta0=rng.uniform(eta1 + 0.01, 1.0), eta1=eta1,
+                                   alpha_q=alpha_q, prior0=prior0)
+        a0, a1 = math.sqrt(d.eta0) * alpha_q, math.sqrt(eta1) * alpha_q
+        yield d, a0 + (a0 - a1) * offset if rng.random() < 0.5 else a1 - (a0 - a1) * offset
+
+
+def sigma2_oracle(s, theta):
+    """(sigma*^2, scale) of a closed-form scenario from the float levels it uses."""
+    if isinstance(s, DiscriminationScenario):
+        a0, a1 = math.sqrt(s.eta0) * s.alpha_q, math.sqrt(s.eta1) * s.alpha_q
+        return two_level_sigma2_oracle(theta, a0, a1, s.prior0, 1.0)
+    m = math.sqrt(s.eta) * s.alpha_q
+    c = Decimal(s.eta) if s.noise_site == "sender" else 1
+    k = 2 * classical_total_variance(s, 0.0)
+    want, scale = two_level_sigma2_oracle(theta, -m, m, s.prior0, k)
+    return want / c, scale / c
+
+
+class TestCriticalSigma2Digits:
+    """The closed-form sigma*^2 keeps its digits where R rounds toward 1.
+
+    ln R is ln(p0 / p1) + log1p((l1 - l0) / (theta - l1)), so a threshold far
+    from weak levels loses nothing to R's rounding (at alpha_q = 1e-16, theta
+    = 1 the log of R itself gave 0.8014 for 1.0, and at 1e-300 R was 1).
+    """
+
+    @pytest.mark.parametrize("alpha_q", [1e-8, 1e-12, 1e-16, 1e-300])
+    def test_weak_signals_match_decimal(self, alpha_q):
+        s = ClassicalScenario(eta=1.0, alpha_q=alpha_q)
+        assert_sigma2_digits(critical_sigma2_classical(s, 1.0), sigma2_oracle(s, 1.0))
+        d = DiscriminationScenario(eta0=0.9, eta1=0.4, alpha_q=alpha_q)
+        assert_sigma2_digits(critical_sigma2_discrimination(d, 1.0), sigma2_oracle(d, 1.0))
+
+    def test_seeded_draws_match_decimal(self):
+        for s, theta in sigma2_draws(7, 500):
+            critical = (
+                critical_sigma2_discrimination
+                if isinstance(s, DiscriminationScenario)
+                else critical_sigma2_classical
+            )
+            assert_sigma2_digits(critical(s, theta), sigma2_oracle(s, theta))
+
+    def test_close_beyond_the_lower_level(self):
+        # theta - m rounds to -2m here, so 1 + 2m / (theta - m) would be 0:
+        # the quotient of the offsets is taken whole
+        s = ClassicalScenario(eta=1.0, alpha_q=1.0)
+        theta = -1.0 - 2.0**-52
+        assert_sigma2_digits(critical_sigma2_classical(s, theta), sigma2_oracle(s, theta))
 
 
 class TestForbiddenIntervalClassical:
@@ -1002,6 +1074,34 @@ class TestWeakSignalBoundaries:
         )
         assert iv.residual_lo >= math.ulp(iv.lo)
         assert_within_width(iv.lo, iv.residual_lo, sender_onset_oracle(0.9, 0.4, 1e-300, 0.5, -1))
+
+
+class TestBeyondTheSearchFloor:
+    """A strong signal's boundary below u = -1e300 is the level itself.
+
+    From alpha_q ~ 6e149 at eta 0.8, gap^2 / (2 v) outgrows 1e300, so the
+    slope sign is still positive at the search floor; theta = level + side
+    e^u rounds to the level there, with a bracket width of 0.
+    """
+
+    ALPHAS = [1e150, 1e200, 1e300]
+
+    @pytest.mark.parametrize("alpha_q", ALPHAS)
+    def test_classical_and_rectangle(self, alpha_q):
+        m = math.sqrt(0.8) * alpha_q
+        iv = forbidden_interval_classical(ClassicalScenario(eta=0.8, alpha_q=alpha_q))
+        assert (iv.lo, iv.hi, iv.residual_lo, iv.residual_hi) == (-m, m, 0.0, 0.0)
+        rect = forbidden_rectangle(EAScenario(eta=0.8, alpha_q=alpha_q, alpha_p=alpha_q, r=0.3))
+        for side in (rect.q_interval, rect.p_interval):
+            assert (side.lo, side.hi, side.residual_lo, side.residual_hi) == (-m, m, 0.0, 0.0)
+
+    @pytest.mark.parametrize("alpha_q", ALPHAS)
+    @pytest.mark.parametrize("site, r", [("receiver", 0.0), ("receiver", 0.3), ("sender", 0.3)])
+    def test_discrimination(self, alpha_q, site, r):
+        s = DiscriminationScenario(eta0=0.9, eta1=0.4, alpha_q=alpha_q, r=r, noise_site=site)
+        iv = forbidden_interval_discrimination(s)
+        a0, a1 = math.sqrt(0.9) * alpha_q, math.sqrt(0.4) * alpha_q
+        assert (iv.lo, iv.hi, iv.residual_lo, iv.residual_hi) == (a1, a0, 0.0, 0.0)
 
 
 def census_draws(seed, n):
