@@ -19,6 +19,8 @@ limit).
 
 A config file holds flat ``key = value`` lines (``#`` comments allowed)
 using the long flag names; command-line flags override file values.
+Each flag is declared once, as a ``(name, converter, default)`` row of its
+command; a scenario flag's row holds its own scenario type's field default.
 
 Only ``mc-check`` (10^6 samples per point by default) fans its points out
 to worker processes; ``--parallel`` (default 1) sets its worker count,
@@ -138,7 +140,9 @@ def _scenario_table(cls, **defaults) -> tuple:
 
 
 def _scenario(cls, cfg: dict):
-    return cls(**{f.name: cfg[_flag(f.name)] for f in dataclasses.fields(cls)})
+    # the fields the command has flags for; the rest keep the type's defaults
+    flags = {f.name: _flag(f.name) for f in dataclasses.fields(cls)}
+    return cls(**{name: cfg[flag] for name, flag in flags.items() if flag in cfg})
 
 
 # flag rows (name, converter, default), the default None where the flag has
@@ -391,7 +395,11 @@ def _run_mc_check(cfg: dict):
 _COMMANDS = {
     "sweep": (_CURVES, _run_sweep),
     "interval": (_CLASSICAL + (("vary", _parse_str, None),) + _GRID, _run_interval),
-    "rectangle": (_scenario_table(EAScenario), _run_rectangle),
+    # the rectangle reads no threshold, so theta-q and theta-p are not its flags
+    "rectangle": (
+        tuple(row for row in _scenario_table(EAScenario) if row[0] not in ("theta-q", "theta-p")),
+        _run_rectangle,
+    ),
     "discriminate": (
         _scenario_table(DiscriminationScenario) + _THETAS + (("interval", _parse_bool, False),)
         + _GRID,

@@ -159,6 +159,16 @@ class TestInterval:
         assert rows[0][0] == pytest.approx(-162462020.3197540255500777, rel=1e-14)
         assert rows[0][1] == 7.215375318230077e-09
 
+    def test_root_below_the_search_floor_returns_the_levels(self):
+        # at alpha_q 1e200 the root lies below u = -1e300, where theta is the level
+        code, out, err = run_cli(["interval", "--eta", "0.8", "--alpha-q", "1e200"])
+        assert (code, err) == (0, "")
+        m = math.sqrt(0.8) * 1e200
+        assert out == (
+            "theta_minus,theta_plus,residual_minus,residual_plus\n"
+            f"{-m!r},{m!r},0.0,0.0\n"
+        )
+
     def test_strong_signal_interval_returns_the_levels(self):
         # the roots sit near u = -1.6e9, within one float ulp of the levels
         code, out, err = run_cli(["interval", "--eta", "1", "--alpha-q", "20000"])
@@ -196,6 +206,19 @@ class TestRectangle:
             "q_residual_lo": q.residual_lo, "q_residual_hi": q.residual_hi,
             "p_residual_lo": p.residual_lo, "p_residual_hi": p.residual_hi,
         }
+
+
+    def test_thresholds_are_refused(self, tmp_path):
+        # the rectangle reads no threshold, so neither a flag nor a config key sets one
+        argv = ["rectangle", "--eta", "0.8", "--alpha-q", "1", "--alpha-p", "1"]
+        code, out, err = run_cli(argv + ["--theta-q", "5", "--theta-p", "-3"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --theta-q 5 --theta-p -3" in err
+        config = tmp_path / "rect.cfg"
+        config.write_text("theta-q = 5\n", encoding="utf-8")
+        code, out, err = run_cli(argv + ["--config", str(config)])
+        assert (code, out) == (2, "")
+        assert err == "error: unknown config key 'theta-q' for command 'rectangle'\n"
 
 
 class TestDiscriminate:
@@ -448,7 +471,7 @@ _EXTREME_BASES = [
      ("alpha-q", "r", "theta", "eta")),
     ("interval", ["interval"] + _CLASSICAL_FLAGS, ("alpha-q", "r", "eta")),
     ("rectangle", ["rectangle"] + _CLASSICAL_FLAGS + ["--alpha-p", "1"],
-     ("alpha-q", "r", "theta-q", "eta")),
+     ("alpha-q", "r", "alpha-p", "eta")),
     ("discriminate", ["discriminate", "--eta0", "0.9", "--eta1", "0.4", "--alpha-q", "1.5",
                       "--theta", "2"] + _ONE_STEP, ("alpha-q", "r", "theta", "eta1")),
     ("fidelity", ["fidelity", "--x0", "0.3", "--theta", "0.2"] + _ONE_STEP, ("theta",)),
@@ -724,8 +747,7 @@ _GRID_HELP = ("grid-start", "grid-stop", "grid-step")
 _HELP_FLAGS = {
     "sweep": _CLASSICAL_HELP + ("theta",) + _GRID_HELP,
     "interval": _CLASSICAL_HELP + ("vary",) + _GRID_HELP,
-    "rectangle": ("eta", "r", "prior-q", "prior-p", "alpha-q", "alpha-p", "theta-q",
-                  "theta-p", "site"),
+    "rectangle": ("eta", "r", "prior-q", "prior-p", "alpha-q", "alpha-p", "site"),
     "discriminate": ("eta0", "eta1", "alpha-q", "r", "prior0", "site", "theta", "interval")
     + _GRID_HELP,
     "fidelity": ("x0", "theta") + _GRID_HELP,
